@@ -244,6 +244,22 @@ fn common(args: &Args) -> Result<Common, ArgError> {
     })
 }
 
+/// The classic manager's configuration from the common options, checked
+/// before anything is allocated.
+fn classic_config(c: &Common) -> Result<ClassicConfig, ArgError> {
+    let cfg = ClassicConfig {
+        huge_pages: c.h,
+        phys_pages: c.phys,
+        tlb_entries: c.tlb,
+        tlb_policy: c.policy,
+        ram_policy: c.policy,
+        seed: c.seed,
+    };
+    cfg.validate()
+        .map_err(|e| ArgError(format!("--manager classic: {e}")))?;
+    Ok(cfg)
+}
+
 /// Builds a manager as a pipeline over `obs`. The observer is generic so
 /// the default build pays nothing ([`NoopObserver`]) while `--observe`
 /// attaches a [`SharedRecorder`] without a separate construction path.
@@ -254,14 +270,7 @@ fn build_observed<O: SimObserver + 'static>(
 ) -> Result<Box<dyn MemoryManager>, ArgError> {
     Ok(match name {
         "classic" => Box::new(Pipeline::with_observer(
-            ClassicStages::new(ClassicConfig {
-                huge_pages: c.h,
-                phys_pages: c.phys,
-                tlb_entries: c.tlb,
-                tlb_policy: c.policy,
-                ram_policy: c.policy,
-                seed: c.seed,
-            }),
+            ClassicStages::new(classic_config(c)?),
             obs,
         )),
         "decoupled" => {
@@ -299,16 +308,23 @@ fn build_observed<O: SimObserver + 'static>(
                 obs,
             ))
         }
-        "thp" => Box::new(Pipeline::with_observer(
-            ThpStages::new(ThpConfig {
+        "thp" => {
+            let cfg = ThpConfig {
                 huge_pages: c.h,
-                phys_pages: c.phys - c.phys % c.h,
+                // Rounded down to whole huge pages; h = 0 or P < h passes
+                // through for validate() to refuse with the value given.
+                phys_pages: match c.phys.checked_rem(c.h) {
+                    Some(rem) if c.phys >= c.h => c.phys - rem,
+                    _ => c.phys,
+                },
                 tlb_entries: c.tlb,
                 policy: c.policy,
                 seed: c.seed,
-            }),
-            obs,
-        )),
+            };
+            cfg.validate()
+                .map_err(|e| ArgError(format!("--manager thp: {e}")))?;
+            Box::new(Pipeline::with_observer(ThpStages::new(cfg), obs))
+        }
         "x" => Box::new(Pipeline::with_observer(
             VirtualOnlyStages::new(c.h, c.tlb, c.policy, c.seed),
             obs,
@@ -763,14 +779,7 @@ pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
                 }
                 "arena" => {
                     let mut arena = atp_memmgmt::TenantArena::new(
-                        Pipeline::from_stages(ClassicStages::new(ClassicConfig {
-                            huge_pages: c.h,
-                            phys_pages: c.phys,
-                            tlb_entries: c.tlb,
-                            tlb_policy: c.policy,
-                            ram_policy: c.policy,
-                            seed: c.seed,
-                        })),
+                        Pipeline::from_stages(ClassicStages::new(classic_config(&c)?)),
                         vspan,
                     );
                     run_tenant_point(
@@ -1784,6 +1793,28 @@ mod tests {
             text
         };
         assert_eq!(export("a.json"), export("b.json"));
+    }
+
+    #[test]
+    fn invalid_thp_and_classic_configs_exit_2() {
+        // Each of these used to panic (exit 101) inside a constructor or an
+        // allocation; they must be refused with a typed error before any
+        // allocation.
+        for (vector, want) in [
+            ("--manager thp --h 0", "power of two"),
+            ("--manager thp --h 3", "power of two"),
+            ("--manager thp --phys 32 --h 64", "phys_pages"),
+            ("--manager thp --tlb 0", "tlb_entries"),
+            ("--manager classic --phys 1", "phys_pages"),
+            ("--manager classic --h 3", "power of two"),
+            ("--manager classic --phys 2^40", "out of range"),
+        ] {
+            let mut args = vec!["simulate"];
+            args.extend(vector.split(' '));
+            assert_eq!(crate::run(&argv(&args)), 2, "{vector}");
+            let err = simulate(&argv(&args[1..])).unwrap_err();
+            assert!(err.0.contains(want), "{vector}: {err}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::traits::AccessReport;
 use atp_hash::{fx_hash, NO_SLOT};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
 use atp_tlb::Tlb;
-use atp_types::{HugePageGeometry, VirtHugePage, VirtPage};
+use atp_types::{HugePageGeometry, ParamError, VirtHugePage, VirtPage};
 
 /// Configuration for [`ClassicMm`].
 #[derive(Clone, Copy, Debug)]
@@ -48,6 +48,48 @@ impl ClassicConfig {
             seed: 0,
         }
     }
+
+    /// Checks the configuration before anything is allocated.
+    ///
+    /// # Errors
+    /// `h` must be a power of two no larger than `phys_pages`, and the RAM
+    /// unit count `phys_pages / h` and `tlb_entries` must be nonzero and
+    /// within 32-bit slot ids.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        check_huge(self.huge_pages, self.phys_pages)?;
+        check_slots("phys_pages / h", self.phys_pages / self.huge_pages)?;
+        check_slots("tlb_entries", self.tlb_entries)
+    }
+}
+
+/// Checks that `h` is a power of two and `phys_pages` holds at least one
+/// huge page.
+pub(crate) fn check_huge(h: u64, phys_pages: u64) -> Result<(), ParamError> {
+    HugePageGeometry::new(h)?;
+    if phys_pages < h {
+        return Err(ParamError::OutOfRange {
+            name: "phys_pages",
+            value: phys_pages,
+            constraint: "must hold at least one huge page (>= h)",
+        });
+    }
+    Ok(())
+}
+
+/// Checks a cache capacity (RAM units, TLB entries, frames): nonzero and
+/// below `u32::MAX`, the bound of `CacheSim`'s 32-bit slot ids.
+pub(crate) fn check_slots(name: &'static str, value: u64) -> Result<(), ParamError> {
+    if value == 0 {
+        return Err(ParamError::Zero { name });
+    }
+    if value >= u64::from(u32::MAX) {
+        return Err(ParamError::OutOfRange {
+            name,
+            value,
+            constraint: "must be below 2^32 - 1 (32-bit slot ids)",
+        });
+    }
+    Ok(())
 }
 
 /// Stage state of the classic physical-huge-page manager.
@@ -63,15 +105,14 @@ impl ClassicStages {
     /// Builds the stages.
     ///
     /// # Panics
-    /// Panics if `huge_pages` is not a power of two or exceeds `phys_pages`.
+    /// Panics if [`ClassicConfig::validate`] rejects `cfg`.
     pub fn new(cfg: ClassicConfig) -> Self {
-        // atp-lint: allow(unwrap-policy, reason = "constructor contract: documented # Panics on invalid (non-power-of-two) huge-page config")
+        if let Err(e) = cfg.validate() {
+            panic!("invalid classic config: {e}");
+        }
+        // atp-lint: allow(unwrap-policy, reason = "validate() above checked that h is a power of two")
         let geom = HugePageGeometry::new(cfg.huge_pages).expect("h must be a power of two");
-        let ram_units = (cfg.phys_pages / cfg.huge_pages).max(1) as usize;
-        assert!(
-            cfg.huge_pages <= cfg.phys_pages,
-            "huge page larger than physical memory"
-        );
+        let ram_units = (cfg.phys_pages / cfg.huge_pages) as usize;
         Self {
             geom,
             tlb: Tlb::new(cfg.tlb_entries, cfg.tlb_policy, cfg.seed),

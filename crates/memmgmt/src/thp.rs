@@ -22,25 +22,32 @@
 //! The `thp_fragmentation` example shows promotion failures rising as churn
 //! scatters free frames.
 //!
+//! Fault frames are uniform over the free frames and promotion is first-fit
+//! over aligned groups. The frame pool indexes its free bitset so both stay
+//! cheap once memory is full: a uniform draw tries a few random frames and
+//! then takes the r-th free frame by an O(log P) descent, and a promotion
+//! attempt scans one bit per group.
+//!
 //! As a pipeline, THP is a RAM-first manager like the classic simulator:
 //! the TLB probe is deferred, the residency stage does all fault/promote/
 //! evict work, and the translate stage performs the single touch-or-fill
 //! against whichever key (huge or base) currently maps the page.
 
+use crate::classic::{check_huge, check_slots};
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
 use crate::pipeline::{Pipeline, Stages, TlbProbe};
 use crate::traits::AccessReport;
 use atp_hash::{CounterRng, FxHashMap};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
 use atp_tlb::Tlb;
-use atp_types::{HugePageGeometry, PhysPage, VirtHugePage, VirtPage};
+use atp_types::{HugePageGeometry, ParamError, PhysPage, VirtHugePage, VirtPage};
 
 /// Configuration for [`ThpMm`].
 #[derive(Clone, Copy, Debug)]
 pub struct ThpConfig {
     /// Huge-page size `h` in base pages (power of two).
     pub huge_pages: u64,
-    /// Physical memory in base pages (multiple of `h` for clean alignment).
+    /// Physical memory in base pages (a multiple of `h`).
     pub phys_pages: u64,
     /// TLB entries.
     pub tlb_entries: u64,
@@ -48,6 +55,26 @@ pub struct ThpConfig {
     pub policy: PolicyKind,
     /// Seed (drives the fragmentation-inducing random frame choice).
     pub seed: u64,
+}
+
+impl ThpConfig {
+    /// Checks the configuration before anything is allocated.
+    ///
+    /// # Errors
+    /// `h` must be a power of two, `phys_pages` a multiple of it holding at
+    /// least one huge page, and the frame count (the unit cache's capacity)
+    /// and `tlb_entries` nonzero and within 32-bit slot ids.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        check_huge(self.huge_pages, self.phys_pages)?;
+        if !self.phys_pages.is_multiple_of(self.huge_pages) {
+            return Err(ParamError::NotDivisible {
+                dividend: "phys_pages",
+                divisor: "h",
+            });
+        }
+        check_slots("phys_pages", self.phys_pages)?;
+        check_slots("tlb_entries", self.tlb_entries)
+    }
 }
 
 /// THP bookkeeping counters.
@@ -63,84 +90,252 @@ pub struct ThpStats {
     pub huge_evictions: u64,
 }
 
-/// Physical frame pool with contiguity queries.
+/// Physical frame pool: a free-frame bitset indexed for uniform draws and
+/// first-fit promotion.
+///
+/// * `words` holds one bit per frame, set while the frame is free; bits
+///   past the last frame stay clear.
+/// * `counts` is a Fenwick tree of free-frame counts over leaves of
+///   [`LEAF_WORDS`] words, so the r-th free frame is an O(log P) descent
+///   plus a scan of one cache line.
+/// * `full` holds one bit per aligned group of `h` frames, set while the
+///   whole group is free; first-fit promotion takes its lowest set bit.
+///   Frames past the last whole group belong to no group.
 #[derive(Clone, Debug)]
 struct FramePool {
-    free: Vec<bool>,
+    words: Vec<u64>,
+    /// 1-based Fenwick tree over a power-of-two number of leaves (the
+    /// padding leaves count 0): `counts[i]` sums leaves
+    /// `(i - lowbit(i), i]`; `counts[0]` is unused. 32 bits suffice because
+    /// [`ThpConfig::validate`] keeps P below `u32::MAX`.
+    counts: Vec<u32>,
+    full: Vec<u64>,
+    frames: u64,
+    /// `log2(h)`.
+    h_log: u32,
+    groups: u64,
     free_count: u64,
     rng: CounterRng,
 }
 
+/// Bitset words per Fenwick leaf: one 64-byte cache line, which keeps the
+/// tree 512× smaller than the pool.
+const LEAF_WORDS: usize = 8;
+
+/// Rejection probes a draw tries before the indexed descent. While half the
+/// pool or more is free, 15 in 16 draws end in a probe, which is cheaper
+/// than the descent; a nearly full pool pays four missed probes.
+const PROBES: usize = 4;
+
+/// Bit index of the `k`-th (0-based) set bit of `w`; `k < w.count_ones()`.
+/// Branch-free: on random frames every comparison is a coin flip.
+fn select(mut w: u64, mut k: u32) -> u64 {
+    let mut pos = 0;
+    for shift in [32, 16, 8, 4, 2, 1] {
+        let low = (w & ((1u64 << shift) - 1)).count_ones();
+        let go = u32::from(k >= low);
+        k -= low * go;
+        w >>= shift * go;
+        pos += u64::from(shift * go);
+    }
+    pos
+}
+
+/// The Fenwick tree of `words`' free counts (see [`FramePool::counts`]).
+fn fenwick(words: &[u64]) -> Vec<u32> {
+    let leaves = words.len().div_ceil(LEAF_WORDS).next_power_of_two();
+    let mut counts = vec![0u32; leaves + 1];
+    for (w, word) in words.iter().enumerate() {
+        fenwick_add(&mut counts, w / LEAF_WORDS, word.count_ones() as i32);
+    }
+    counts
+}
+
+fn fenwick_add(counts: &mut [u32], leaf: usize, delta: i32) {
+    let mut i = leaf + 1;
+    while i < counts.len() {
+        counts[i] = counts[i].wrapping_add_signed(delta);
+        i += i & i.wrapping_neg();
+    }
+}
+
+/// Bits `[lo, hi)` of a word, `lo < hi <= 64`.
+fn bit_range(lo: u64, hi: u64) -> u64 {
+    (u64::MAX >> (64 - (hi - lo))) << lo
+}
+
 impl FramePool {
-    fn new(frames: u64, seed: u64) -> Self {
+    /// A pool of `frames` free frames grouped by `h` (a power of two).
+    fn new(frames: u64, h: u64, seed: u64) -> Self {
+        let n = frames.div_ceil(64) as usize;
+        let mut words = vec![u64::MAX; n];
+        if let Some(last) = words.last_mut() {
+            *last = bit_range(0, frames - (n as u64 - 1) * 64);
+        }
+        let groups = frames / h;
+        let mut full = vec![0u64; groups.div_ceil(64) as usize];
+        for g in 0..groups {
+            full[(g / 64) as usize] |= 1 << (g % 64);
+        }
         Self {
-            free: vec![true; frames as usize],
+            counts: fenwick(&words),
+            words,
+            full,
+            frames,
+            h_log: h.trailing_zeros(),
+            groups,
             free_count: frames,
             rng: CounterRng::new(seed, 0x7F9A),
         }
     }
 
-    /// Takes an arbitrary free frame (uniformly random — models long-run
-    /// allocator scatter; first-fit would artificially stay compact).
+    fn h(&self) -> u64 {
+        1 << self.h_log
+    }
+
+    fn is_free(&self, f: u64) -> bool {
+        self.words[(f / 64) as usize] >> (f % 64) & 1 == 1
+    }
+
+    /// Takes an arbitrary free frame, uniformly at random among the free
+    /// ones (models long-run allocator scatter; first-fit would
+    /// artificially stay compact). A probe of a uniform frame that is free
+    /// is a uniform free frame, and so is the r-th free frame for a uniform
+    /// r: the mix of the two is exactly uniform.
     fn take_any(&mut self) -> Option<PhysPage> {
         if self.free_count == 0 {
             return None;
         }
-        loop {
-            let f = self.rng.next_below(self.free.len() as u64) as usize;
-            if self.free[f] {
-                self.free[f] = false;
-                self.free_count -= 1;
-                return Some(PhysPage(f as u64));
+        for _ in 0..PROBES {
+            let f = self.rng.next_below(self.frames);
+            if self.is_free(f) {
+                self.mark(f, 1, false);
+                return Some(PhysPage(f));
             }
         }
+        let r = self.rng.next_below(self.free_count);
+        let f = self.nth_free(r);
+        self.mark(f, 1, false);
+        Some(PhysPage(f))
     }
 
-    /// Takes an aligned run of `h` contiguous frames, if one exists.
-    fn take_contiguous(&mut self, h: u64) -> Option<PhysPage> {
-        let groups = self.free.len() as u64 / h;
-        'group: for g in 0..groups {
-            let base = (g * h) as usize;
-            for i in 0..h as usize {
-                if !self.free[base + i] {
-                    continue 'group;
-                }
-            }
-            for i in 0..h as usize {
-                self.free[base + i] = false;
-            }
-            self.free_count -= h;
-            return Some(PhysPage(base as u64));
+    /// The `r`-th (0-based) free frame; `r < free_count`.
+    fn nth_free(&self, r: u64) -> u64 {
+        let mut r = r as u32;
+        // Branch-free Fenwick descent (each comparison is a coin flip on
+        // random frames) to the leaf holding the r-th free frame; the
+        // power-of-two size keeps every probe in bounds.
+        let mut leaf = 0;
+        let mut step = (self.counts.len() - 1) / 2;
+        while step > 0 {
+            let c = self.counts[leaf + step];
+            let go = u32::from(c <= r);
+            r -= c * go;
+            leaf += step * go as usize;
+            step /= 2;
         }
-        None
+        let mut w = leaf * LEAF_WORDS;
+        while r >= self.words[w].count_ones() {
+            r -= self.words[w].count_ones();
+            w += 1;
+        }
+        debug_assert!(w < (leaf + 1) * LEAF_WORDS, "descent missed the leaf");
+        w as u64 * 64 + select(self.words[w], r)
+    }
+
+    /// Takes the lowest aligned group of `h` free frames, if one exists.
+    fn take_contiguous(&mut self) -> Option<PhysPage> {
+        let (i, w) = self.full.iter().enumerate().find(|(_, w)| **w != 0)?;
+        let base = (i as u64 * 64 + u64::from(w.trailing_zeros())) << self.h_log;
+        self.mark(base, self.h(), false);
+        Some(PhysPage(base))
     }
 
     fn release(&mut self, frame: PhysPage, count: u64) {
-        for i in 0..count {
-            let f = (frame.0 + i) as usize;
-            debug_assert!(!self.free[f], "double free of frame {f}");
-            self.free[f] = true;
+        self.mark(frame.0, count, true);
+    }
+
+    /// Sets frames `[first, first + count)` free or taken, keeping the
+    /// leaf counts and the full-group bits in step.
+    fn mark(&mut self, first: u64, count: u64, free: bool) {
+        let end = first + count;
+        let mut lo = first;
+        while lo < end {
+            let w = (lo / 64) as usize;
+            let hi = end.min((w as u64 + 1) * 64);
+            let mask = bit_range(lo % 64, hi - w as u64 * 64);
+            let old = self.words[w];
+            debug_assert_eq!(
+                old & mask,
+                if free { 0 } else { mask },
+                "frames {lo}..{hi} double-{}",
+                if free { "freed" } else { "taken" }
+            );
+            let new = if free { old | mask } else { old & !mask };
+            self.words[w] = new;
+            let delta = new.count_ones() as i32 - old.count_ones() as i32;
+            fenwick_add(&mut self.counts, w / LEAF_WORDS, delta);
+            lo = hi;
         }
-        self.free_count += count;
+        if free {
+            self.free_count += count;
+        } else {
+            self.free_count -= count;
+        }
+        let groups_end = (((end - 1) >> self.h_log) + 1).min(self.groups);
+        for g in first >> self.h_log..groups_end {
+            let bit = 1u64 << (g % 64);
+            let set = free && self.group_is_free(g);
+            let slot = &mut self.full[(g / 64) as usize];
+            if set {
+                *slot |= bit;
+            } else {
+                *slot &= !bit;
+            }
+        }
+    }
+
+    /// Whether every frame of group `g` is free.
+    fn group_is_free(&self, g: u64) -> bool {
+        let (h, base) = (self.h(), g << self.h_log);
+        let w = (base / 64) as usize;
+        if h >= 64 {
+            self.words[w..w + (h / 64) as usize]
+                .iter()
+                .all(|&x| x == u64::MAX)
+        } else {
+            let mask = bit_range(base % 64, base % 64 + h);
+            self.words[w] & mask == mask
+        }
     }
 
     /// Largest aligned contiguous free run, in frames (for instrumentation).
-    fn max_contiguous(&self, h: u64) -> u64 {
-        let groups = self.free.len() as u64 / h;
-        let mut best = 0u64;
-        for g in 0..groups {
-            let base = (g * h) as usize;
-            let mut run = 0;
-            for i in 0..h as usize {
-                if self.free[base + i] {
-                    run += 1;
-                } else {
-                    run = 0;
-                }
-                best = best.max(run);
+    fn max_contiguous(&self) -> u64 {
+        let (mut best, mut run) = (0, 0);
+        for f in 0..self.groups << self.h_log {
+            if f % self.h() == 0 {
+                run = 0;
             }
+            run = if self.is_free(f) { run + 1 } else { 0 };
+            best = best.max(run);
         }
         best
+    }
+}
+
+#[cfg(test)]
+impl FramePool {
+    /// Recomputes the leaf counts, the free count and the full-group bits
+    /// from the bitset and asserts the indexes agree with it.
+    fn check(&self) {
+        assert_eq!(fenwick(&self.words), self.counts, "leaf counts drifted");
+        let free: u64 = self.words.iter().map(|w| u64::from(w.count_ones())).sum();
+        assert_eq!(free, self.free_count, "free count drifted");
+        for g in 0..self.full.len() as u64 * 64 {
+            let bit = self.full[(g / 64) as usize] >> (g % 64) & 1 == 1;
+            let want = g < self.groups && self.group_is_free(g);
+            assert_eq!(bit, want, "full-group bit {g} drifted");
+        }
     }
 }
 
@@ -168,19 +363,17 @@ impl ThpStages {
     /// Builds the stages.
     ///
     /// # Panics
-    /// Panics if `huge_pages` is not a power of two or doesn't divide
-    /// `phys_pages`.
+    /// Panics if [`ThpConfig::validate`] rejects `cfg`.
     pub fn new(cfg: ThpConfig) -> Self {
-        // atp-lint: allow(unwrap-policy, reason = "constructor contract: documented # Panics on invalid (non-power-of-two) huge-page config")
+        if let Err(e) = cfg.validate() {
+            panic!("invalid THP config: {e}");
+        }
+        // atp-lint: allow(unwrap-policy, reason = "validate() above checked that h is a power of two")
         let geom = HugePageGeometry::new(cfg.huge_pages).expect("h power of two");
-        assert!(
-            cfg.phys_pages.is_multiple_of(cfg.huge_pages),
-            "phys_pages must be a multiple of h"
-        );
         let cap = cfg.phys_pages as usize; // unit cache bounded by frames
         Self {
             geom,
-            pool: FramePool::new(cfg.phys_pages, cfg.seed),
+            pool: FramePool::new(cfg.phys_pages, cfg.huge_pages, cfg.seed),
             base_frames: FxHashMap::default(),
             huge_frames: FxHashMap::default(),
             run_population: FxHashMap::default(),
@@ -203,7 +396,7 @@ impl ThpStages {
 
     /// Largest aligned contiguous free run (fragmentation gauge).
     pub fn max_contiguous_free(&self) -> u64 {
-        self.pool.max_contiguous(self.h)
+        self.pool.max_contiguous()
     }
 
     /// Physical frame of `v`, if resident.
@@ -282,7 +475,7 @@ impl ThpStages {
     /// Attempts to promote run `u`. Migration copies are in-RAM and free in
     /// the cost model; they are tracked in [`ThpStats`].
     fn try_promote<O: SimObserver>(&mut self, u: VirtHugePage, obs: &mut O) {
-        match self.pool.take_contiguous(self.h) {
+        match self.pool.take_contiguous() {
             None => {
                 self.stats.promotion_failures += 1;
             }
@@ -523,6 +716,7 @@ mod tests {
                 32,
                 "frames leaked or double-counted"
             );
+            m.stages().pool.check();
         }
     }
 
@@ -543,6 +737,7 @@ mod tests {
                     assert!(seen.insert(base.0 + i), "huge frame shared at {u:?}");
                 }
             }
+            m.stages().pool.check();
         }
     }
 
@@ -552,5 +747,171 @@ mod tests {
         assert_eq!(m.max_contiguous_free(), 8);
         m.access(VirtPage(0)); // one random frame now taken
         assert!(m.max_contiguous_free() <= 8);
+    }
+
+    /// The pool without indexes: a flag per frame, the same probes, the
+    /// r-th free frame by linear scan, and a linear first-fit group scan.
+    struct NaivePool {
+        free: Vec<bool>,
+        free_count: u64,
+        h: u64,
+        rng: CounterRng,
+    }
+
+    impl NaivePool {
+        fn new(frames: u64, h: u64, seed: u64) -> Self {
+            Self {
+                free: vec![true; frames as usize],
+                free_count: frames,
+                h,
+                rng: CounterRng::new(seed, 0x7F9A),
+            }
+        }
+
+        fn nth_free(&self, r: u64) -> Option<usize> {
+            (0..self.free.len())
+                .filter(|&f| self.free[f])
+                .nth(r as usize)
+        }
+
+        fn take_any(&mut self) -> Option<PhysPage> {
+            if self.free_count == 0 {
+                return None;
+            }
+            let mut probed = None;
+            for _ in 0..PROBES {
+                let f = self.rng.next_below(self.free.len() as u64) as usize;
+                if self.free[f] {
+                    probed = Some(f);
+                    break;
+                }
+            }
+            let f = match probed {
+                Some(f) => f,
+                None => {
+                    let r = self.rng.next_below(self.free_count);
+                    self.nth_free(r)?
+                }
+            };
+            self.free[f] = false;
+            self.free_count -= 1;
+            Some(PhysPage(f as u64))
+        }
+
+        fn take_contiguous(&mut self) -> Option<PhysPage> {
+            let h = self.h as usize;
+            let g = (0..self.free.len() / h)
+                .find(|g| self.free[g * h..(g + 1) * h].iter().all(|&b| b))?;
+            self.free[g * h..(g + 1) * h].fill(false);
+            self.free_count -= self.h;
+            Some(PhysPage((g * h) as u64))
+        }
+
+        fn release(&mut self, frame: PhysPage, count: u64) {
+            let f = frame.0 as usize;
+            assert!(self.free[f..f + count as usize].iter().all(|&b| !b));
+            self.free[f..f + count as usize].fill(true);
+            self.free_count += count;
+        }
+    }
+
+    #[test]
+    fn pool_matches_the_naive_reference() {
+        // P not a multiple of 64 (or of h) included: trailing frames that
+        // belong to no group, and a partial last word.
+        for (h, frames) in [
+            (4, 1002),
+            (8, 200),
+            (8, 4096),
+            (64, 640),
+            (64, 1000),
+            (128, 1000),
+            (128, 2048),
+        ] {
+            let mut pool = FramePool::new(frames, h, 3);
+            let mut naive = NaivePool::new(frames, h, 3);
+            let mut ops = CounterRng::new(h ^ frames, 1);
+            let mut held: Vec<(PhysPage, u64)> = Vec::new();
+            for step in 0..4000 {
+                // Fill-biased early, drain-biased late: the pool crosses
+                // empty, nearly full and full.
+                let fill = if step < 2000 { 0.7 } else { 0.4 };
+                if held.is_empty() || ops.next_bool(fill) {
+                    if ops.next_bool(0.15) {
+                        let got = pool.take_contiguous();
+                        assert_eq!(got, naive.take_contiguous(), "h={h} P={frames} step {step}");
+                        held.extend(got.map(|f| (f, h)));
+                    } else {
+                        let got = pool.take_any();
+                        assert_eq!(got, naive.take_any(), "h={h} P={frames} step {step}");
+                        held.extend(got.map(|f| (f, 1)));
+                    }
+                } else {
+                    let (f, n) = held.swap_remove(ops.next_below(held.len() as u64) as usize);
+                    pool.release(f, n);
+                    naive.release(f, n);
+                }
+                assert_eq!(pool.free_count, naive.free_count);
+                if pool.free_count > 0 {
+                    let r = ops.next_below(pool.free_count);
+                    assert_eq!(Some(pool.nth_free(r) as usize), naive.nth_free(r));
+                }
+                pool.check();
+            }
+        }
+    }
+
+    #[test]
+    fn take_any_is_uniform_over_a_nearly_full_pool() {
+        // P = 1024 with 16 scattered free frames: chi-square over 16k draws
+        // (15 degrees of freedom; 37.7 is the 0.1% critical value).
+        let mut pool = FramePool::new(1024, 8, 11);
+        while pool.take_any().is_some() {}
+        let free: Vec<u64> = (0..16).map(|i| 64 * i + (7 * i) % 64).collect();
+        for &f in &free {
+            pool.release(PhysPage(f), 1);
+        }
+        let draws = 16_000;
+        let mut hits = [0u64; 16];
+        for _ in 0..draws {
+            let f = pool.take_any().unwrap();
+            hits[free.iter().position(|&x| x == f.0).unwrap()] += 1;
+            pool.release(f, 1);
+        }
+        let expect = draws as f64 / 16.0;
+        let chi2: f64 = hits
+            .iter()
+            .map(|&o| (o as f64 - expect).powi(2) / expect)
+            .sum();
+        assert!(chi2 < 37.7, "chi2 = {chi2:.1}, hits {hits:?}");
+        pool.check();
+    }
+
+    #[test]
+    fn configs_are_validated() {
+        let ok = ThpConfig {
+            huge_pages: 8,
+            phys_pages: 64,
+            tlb_entries: 16,
+            policy: PolicyKind::Lru,
+            seed: 1,
+        };
+        assert_eq!(ok.validate(), Ok(()));
+        for (h, phys, tlb) in [
+            (0, 64, 16),
+            (3, 64, 16),
+            (64, 32, 16),
+            (8, 60, 16),
+            (8, 64, 0),
+            (8, 1 << 40, 16),
+        ] {
+            let cfg = ThpConfig {
+                huge_pages: h,
+                phys_pages: phys,
+                tlb_entries: tlb,
+                ..ok
+            };
+            assert!(cfg.validate().is_err(), "{cfg:?} accepted");
+        }
     }
 }
