@@ -15,7 +15,7 @@ use atp_obs::{
 use atp_replacement::PolicyKind;
 use atp_sim::{run_multicore_observed, sweep_with_progress, LatencyModel, MulticoreConfig};
 use atp_trace::{read_trace, write_trace, ReuseProfile, TraceStats};
-use atp_types::{Asid, CostModel, Costs, TenantOp, VirtPage};
+use atp_types::{Asid, CostModel, Costs, NoProf, ProfSink, TenantOp, VirtPage};
 use atp_workloads::{
     Bimodal, Graph500Config, Graph500Trace, Gups, ParetoWalk, Sequential, Stencil2d, UniformRandom,
     Zipfian,
@@ -406,12 +406,13 @@ pub fn simulate(raw: &[String]) -> Result<(), ArgError> {
     // Timing lives here, at the CLI boundary: the sim crate is
     // logical-clock-only so its outputs stay bit-reproducible.
     let wall_start = std::time::Instant::now();
-    let stats = match prof.as_mut() {
-        Some(p) => {
-            atp_sim::run_batched_profiled(mgr.as_mut(), trace, c.warmup, c.accesses, batch, p)
-        }
-        None => atp_sim::run_batched(mgr.as_mut(), trace, c.warmup, c.accesses, batch),
+    let mut no_prof = NoProf;
+    let sink: &mut dyn ProfSink = match prof.as_mut() {
+        Some(p) => p,
+        None => &mut no_prof,
     };
+    let stats =
+        atp_sim::run_batched_profiled(mgr.as_mut(), trace, c.warmup, c.accesses, batch, sink);
     let wall = wall_start.elapsed();
     let costs = stats.costs;
     println!("manager:        {}", stats.name);

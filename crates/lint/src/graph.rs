@@ -317,17 +317,14 @@ struct Node {
 
 /// `no-panic-hotpath`: walks the name-based call graph from the
 /// manifest's hot entry points (within the scoped crates) and flags
-/// panic-capable constructs in every reachable function body. The
-/// returned flag says whether any entry point resolved in this scan —
-/// when it did not (partial scans), allow-audit for this rule is
-/// meaningless and the engine skips it.
-pub(crate) fn no_panic_hotpath(
+/// panic-capable constructs in every reachable function body. Also
+/// returns the entries that resolved to no function in this scan: a
+/// partial scan misses some legitimately, while a whole-workspace scan
+/// reports each one (see `analyze_paths`).
+pub(crate) fn no_panic_hotpath<'m>(
     files: &[AnalyzedFile],
-    m: &LintManifest,
-) -> (Vec<(usize, Finding)>, bool) {
-    if m.hot_entries.is_empty() || m.hot_crates.is_empty() {
-        return (Vec::new(), false);
-    }
+    m: &'m LintManifest,
+) -> (Vec<(usize, Finding)>, Vec<&'m str>) {
     // Function table over lib code of the scoped crates.
     let mut by_name: std::collections::BTreeMap<&str, Vec<Node>> =
         std::collections::BTreeMap::new();
@@ -350,20 +347,26 @@ pub(crate) fn no_panic_hotpath(
     // Seed with the configured entries ("Type::name" or bare "name").
     let mut queue: Vec<(Node, String)> = Vec::new();
     let mut visited: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
+    let mut unresolved = Vec::new();
     for entry in &m.hot_entries {
         let (qual, name) = match entry.split_once("::") {
             Some((t, n)) => (Some(t), n),
             None => (None, entry.as_str()),
         };
+        let mut resolved = false;
         for &n in by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[]) {
             let f = &files[n.file].items.fns[n.item];
-            if (qual.is_none() || f.self_ty.as_deref() == qual) && visited.insert((n.file, n.item))
-            {
-                queue.push((n, entry.clone()));
+            if qual.is_none() || f.self_ty.as_deref() == qual {
+                resolved = true;
+                if visited.insert((n.file, n.item)) {
+                    queue.push((n, entry.clone()));
+                }
             }
         }
+        if !resolved {
+            unresolved.push(entry.as_str());
+        }
     }
-    let entry_resolved = !queue.is_empty();
     let mut out = Vec::new();
     while let Some((node, entry)) = queue.pop() {
         let af = &files[node.file];
@@ -429,7 +432,7 @@ pub(crate) fn no_panic_hotpath(
             }
         }
     }
-    (out, entry_resolved)
+    (out, unresolved)
 }
 
 /// Scans one function body (`sig` range `o..=c`, minus `skip`ped nested
@@ -933,7 +936,7 @@ crates = ["sim"]
         prof_gate(&file(direct, "tlb", FileClass::Lib), &mut out);
         assert!(out.is_empty(), "{out:?}");
 
-        // The bound-bool shape from batch.rs, with nesting.
+        // The bound-bool shape of the Tlb batch loop, with nesting.
         let bound = "fn f<P: ProfSink>(p: &mut P) {\n\
                      let profiled = p.enabled();\n\
                      for i in 0..4 {\n  if profiled {\n    p.stage_op(StageOp::Probe, i);\n  }\n }\n}\n";
@@ -963,13 +966,30 @@ crates = ["sim"]
                    fn unrelated(&self) -> u64 { self.slots[0] }\n\
                    }\n";
         let files = vec![file(src, "replacement", FileClass::Lib)];
-        let (out, resolved) = no_panic_hotpath(&files, &manifest());
-        assert!(resolved, "entry must resolve");
+        let m = manifest();
+        let (out, unresolved) = no_panic_hotpath(&files, &m);
+        assert!(unresolved.is_empty(), "entry must resolve: {unresolved:?}");
         // `lane` is reachable and indexing fires there; `unrelated` is not
         // reachable (nothing calls it) — wait, `slots[0]`: index by
         // literal is still indexing, but the fn is unreachable.
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].1.message.contains("indexing"), "{out:?}");
+    }
+
+    #[test]
+    fn hotpath_reports_each_entry_that_resolves_to_nothing() {
+        let src = "impl CacheSim {\n pub fn access(&mut self) {}\n}\n\
+                   impl Other {\n pub fn retire(&mut self) {}\n}\n";
+        let files = vec![file(src, "replacement", FileClass::Lib)];
+        let m = parse_manifest(
+            "[hotpath]\n\
+             entries = [\"CacheSim::access\", \"Gone::retire\", \"vanished\"]\n\
+             crates = [\"replacement\"]\n",
+        )
+        .expect("manifest");
+        let (_, unresolved) = no_panic_hotpath(&files, &m);
+        // `Gone::retire` names an existing fn under the wrong self type.
+        assert_eq!(unresolved, ["Gone::retire", "vanished"]);
     }
 
     #[test]

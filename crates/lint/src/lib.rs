@@ -679,13 +679,17 @@ pub struct ScanStats {
 /// Structural rules read `atp-lint.toml` at `root`. A missing manifest
 /// leaves them inert; a malformed one is an I/O-level error (silently
 /// skipping structural rules on a typo would be a silent un-gating).
+/// When `paths` includes `root` itself (a whole-workspace scan), each
+/// `[hotpath]` entry that resolves to no function is an error on the
+/// manifest.
 pub fn analyze_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<(Vec<Finding>, ScanStats)> {
-    let manifest = match std::fs::read_to_string(root.join("atp-lint.toml")) {
-        Ok(text) => Some(
-            parse_manifest(&text)
+    let manifest_text = std::fs::read_to_string(root.join(MANIFEST)).ok();
+    let manifest = match &manifest_text {
+        Some(text) => Some(
+            parse_manifest(text)
                 .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidData, msg))?,
         ),
-        Err(_) => None,
+        None => None,
     };
 
     let mut files: Vec<PathBuf> = Vec::new();
@@ -733,10 +737,34 @@ pub fn analyze_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<(Vec<Fin
                 graph::prof_gate(af, &mut extra[i]);
             }
         }
-        let (hot, entry_resolved) = graph::no_panic_hotpath(&analyzed, m);
-        hot_audited = entry_resolved;
+        let (hot, unresolved) = graph::no_panic_hotpath(&analyzed, m);
+        hot_audited = unresolved.len() < m.hot_entries.len();
         for (i, f) in hot {
             extra[i].push(f);
+        }
+        // A partial scan legitimately misses entries; a whole-workspace
+        // scan that cannot resolve one means the function was renamed or
+        // deleted, which would silently shrink the audited set.
+        if paths.iter().any(|p| same_dir(p, root)) {
+            let text = manifest_text.as_deref().unwrap_or("");
+            for entry in unresolved {
+                let quoted = format!("\"{entry}\"");
+                let line = text
+                    .lines()
+                    .position(|l| l.contains(&quoted))
+                    .map_or(1, |i| i + 1);
+                findings.push(Finding {
+                    rule: "no-panic-hotpath",
+                    severity: Severity::Error,
+                    path: MANIFEST.to_string(),
+                    line: line as u32,
+                    col: 1,
+                    message: format!(
+                        "[hotpath] entry `{entry}` resolves to no function in the [hotpath] \
+                         crates — point it at the renamed function or drop it"
+                    ),
+                });
+            }
         }
         for (i, f) in graph::lock_order(&analyzed, m) {
             extra[i].push(f);
@@ -750,6 +778,14 @@ pub fn analyze_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<(Vec<Fin
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
     Ok((findings, stats))
+}
+
+/// The structural-rule manifest, at the workspace root.
+const MANIFEST: &str = "atp-lint.toml";
+
+/// Whether `a` and `b` name the same directory.
+fn same_dir(a: &Path, b: &Path) -> bool {
+    a == b || matches!((a.canonicalize(), b.canonicalize()), (Ok(x), Ok(y)) if x == y)
 }
 
 /// Finds the workspace root by walking up from `start` to the first

@@ -3,7 +3,7 @@
 //! adversarial Rust with zero false positives or negatives; and the
 //! `atp-lint` binary's exit codes gate exactly when they should.
 
-use atp_lint::{analyze_paths, find_workspace_root, Finding, RULES};
+use atp_lint::{analyze_paths, find_workspace_root, Finding, Severity, RULES};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -233,5 +233,57 @@ fn binary_self_hosts_clean_on_the_workspace() {
     assert!(
         ok,
         "the workspace must lint clean (self-hosting included):\n{out}"
+    );
+}
+
+/// The checked-in manifest over the whole workspace: every `[hotpath]`
+/// entry resolves (a stale one is an error on `atp-lint.toml`), and no
+/// hot-path allow is unused — the batch retire loop's allows would be,
+/// if the entry stopped reaching it.
+#[test]
+fn checked_in_manifest_resolves_every_hotpath_entry() {
+    let root = workspace_root();
+    let (findings, _) = analyze_paths(&root, std::slice::from_ref(&root)).expect("workspace scan");
+    let hot: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| {
+            f.path == "atp-lint.toml"
+                || f.rule == "no-panic-hotpath"
+                || f.rule == "unused-suppression"
+        })
+        .collect();
+    assert!(hot.is_empty(), "{hot:?}");
+}
+
+/// A stale `[hotpath]` entry fails a whole-workspace scan and stays quiet
+/// in a partial one.
+#[test]
+fn stale_hotpath_entry_fails_a_whole_workspace_scan() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("stale-hotpath");
+    let src = root.join("crates/replacement/src");
+    std::fs::create_dir_all(&src).expect("create temporary workspace");
+    std::fs::write(
+        root.join("atp-lint.toml"),
+        "[hotpath]\nentries = [\"CacheSim::access\", \"Tlb::gone\"]\ncrates = [\"replacement\"]\n",
+    )
+    .expect("write manifest");
+    let lib = src.join("lib.rs");
+    std::fs::write(
+        &lib,
+        "//! A cache.\n\n/// A cache.\npub struct CacheSim;\n\nimpl CacheSim {\n    /// Accesses.\n    pub fn access(&mut self) {}\n}\n",
+    )
+    .expect("write source");
+
+    let (whole, _) = analyze_paths(&root, std::slice::from_ref(&root)).expect("whole scan");
+    let stale: Vec<&Finding> = whole.iter().filter(|f| f.path == "atp-lint.toml").collect();
+    assert_eq!(stale.len(), 1, "{whole:?}");
+    assert_eq!(stale[0].severity, Severity::Error);
+    assert_eq!(stale[0].line, 2, "points at the entries line");
+    assert!(stale[0].message.contains("`Tlb::gone`"), "{stale:?}");
+
+    let (partial, _) = analyze_paths(&root, &[lib]).expect("partial scan");
+    assert!(
+        partial.iter().all(|f| f.path != "atp-lint.toml"),
+        "{partial:?}"
     );
 }

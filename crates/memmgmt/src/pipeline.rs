@@ -222,34 +222,11 @@ impl<S: Stages, O: SimObserver> MemoryManager for Pipeline<S, O> {
     /// [`Self::access`], including the observer event stream: a pure hit
     /// emits no stage events either way, so the fast path reproduces the
     /// pipeline-level `Hit` + access report verbatim.
-    fn access_batch(&mut self, vs: &[VirtPage]) {
-        let mut mapped = [VirtPage(0); PREPARE_LANES];
-        for sub in vs.chunks(PREPARE_LANES) {
-            for (i, &v) in sub.iter().enumerate() {
-                mapped[i] = self.stages.map_addr(v);
-            }
-            self.stages.prepare_batch(&mapped[..sub.len()]);
-            let retired = self.stages.retire_batch(&mapped[..sub.len()]);
-            debug_assert!(retired <= sub.len(), "retired more lanes than given");
-            for &v in &sub[..retired] {
-                // The per-access epilogue of a pure hit: `report` stays at
-                // its default (no miss, no IOs, no decode miss).
-                self.observer.on_tlb_event(TlbEvent::Hit);
-                tally(&mut self.costs, AccessReport::default());
-                self.observer.on_access(v, AccessReport::default());
-            }
-            for &v in &sub[retired..] {
-                self.access(v);
-            }
-        }
-    }
-
-    /// [`Self::access_batch`] with lane-group accounting: per
-    /// [`PREPARE_LANES`] window it reports the fast-path occupancy and the
-    /// per-stage op counts (every lane is prepared; retired lanes skip the
-    /// stage walk; replayed lanes run all three stages). Outcomes, costs,
-    /// and the observer event stream are identical to the unprofiled path.
-    fn access_batch_profiled(&mut self, vs: &[VirtPage], prof: &mut dyn ProfSink) {
+    ///
+    /// With an enabled `prof`, each window also reports its fast-path
+    /// occupancy and per-stage op counts (every lane is prepared; retired
+    /// lanes skip the stage walk; replayed lanes run all three stages).
+    fn access_batch(&mut self, vs: &[VirtPage], prof: &mut dyn ProfSink) {
         let mut mapped = [VirtPage(0); PREPARE_LANES];
         let profiled = prof.enabled();
         for sub in vs.chunks(PREPARE_LANES) {
@@ -273,6 +250,8 @@ impl<S: Stages, O: SimObserver> MemoryManager for Pipeline<S, O> {
                 }
             }
             for &v in &sub[..retired] {
+                // The per-access epilogue of a pure hit: `report` stays at
+                // its default (no miss, no IOs, no decode miss).
                 self.observer.on_tlb_event(TlbEvent::Hit);
                 tally(&mut self.costs, AccessReport::default());
                 self.observer.on_access(v, AccessReport::default());
@@ -378,7 +357,7 @@ mod tests {
 
     #[test]
     fn profiled_batch_matches_unprofiled_and_accounts_stages() {
-        use atp_types::{EvictCause, ProfSink};
+        use atp_types::{EvictCause, NoProf, ProfSink};
 
         #[derive(Default)]
         struct Tally {
@@ -400,10 +379,10 @@ mod tests {
 
         let trace: Vec<VirtPage> = (0..40).map(|i| VirtPage(i % 7)).collect();
         let mut plain = Pipeline::from_stages(toy());
-        plain.access_batch(&trace);
+        plain.access_batch(&trace, &mut NoProf);
         let mut prof = Pipeline::from_stages(toy());
         let mut t = Tally::default();
-        prof.access_batch_profiled(&trace, &mut t);
+        prof.access_batch(&trace, &mut t);
 
         assert_eq!(
             prof.costs(),

@@ -26,7 +26,7 @@ use crate::traits::{tally, AccessReport, MemoryManager};
 use atp_hash::{fx_hash, FxHashMap, NO_SLOT};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
 use atp_tlb::AsidTlb;
-use atp_types::{Asid, Costs, HugePageGeometry, TaggedHugePage, VirtHugePage, VirtPage};
+use atp_types::{Asid, Costs, HugePageGeometry, NoProf, TaggedHugePage, VirtHugePage, VirtPage};
 
 /// A memory-management algorithm serving N tenants over shared physical
 /// resources.
@@ -179,7 +179,7 @@ impl<M: MemoryManager> TenantManager for TenantArena<M> {
             self.scratch
                 .push(VirtPage((asid.0 as u64) * self.vspan + v.0));
         }
-        self.mgr.access_batch(&self.scratch);
+        self.mgr.access_batch(&self.scratch, &mut NoProf);
         let after = self.mgr.costs();
         let t = self.per_tenant.entry(asid.0).or_default();
         t.ios += after.ios - before.ios;

@@ -40,22 +40,17 @@ pub trait MemoryManager {
     /// calling [`MemoryManager::access`] once per page (the default does
     /// exactly that); batched engines override it to run a software
     /// pipeline — hash precompute and arena prefetch a few accesses ahead
-    /// — without changing any observable outcome. Callers that need the
-    /// per-access [`AccessReport`]s must use `access` directly.
-    fn access_batch(&mut self, vs: &[VirtPage]) {
+    /// — without changing any observable outcome, and report lane
+    /// occupancy, per-stage op counts and resolution breakdowns into
+    /// `prof` (pass [`atp_types::NoProf`] for none). The default ignores
+    /// the sink: a manager without a software pipeline has nothing
+    /// stage-level to report. Callers that need the per-access
+    /// [`AccessReport`]s must use `access` directly.
+    fn access_batch(&mut self, vs: &[VirtPage], prof: &mut dyn ProfSink) {
+        let _ = prof;
         for &v in vs {
             self.access(v);
         }
-    }
-
-    /// [`MemoryManager::access_batch`] with hot-path profiling: identical
-    /// outcomes, but lane occupancy, per-stage op counts, and resolution
-    /// breakdowns are reported into `prof`. The default ignores the sink
-    /// and just batches — managers without a software pipeline have
-    /// nothing stage-level to report.
-    fn access_batch_profiled(&mut self, vs: &[VirtPage], prof: &mut dyn ProfSink) {
-        let _ = prof;
-        self.access_batch(vs);
     }
 }
 
@@ -80,12 +75,8 @@ impl<M: MemoryManager + ?Sized> MemoryManager for Box<M> {
         (**self).batch_boundary(len)
     }
 
-    fn access_batch(&mut self, vs: &[VirtPage]) {
-        (**self).access_batch(vs)
-    }
-
-    fn access_batch_profiled(&mut self, vs: &[VirtPage], prof: &mut dyn ProfSink) {
-        (**self).access_batch_profiled(vs, prof)
+    fn access_batch(&mut self, vs: &[VirtPage], prof: &mut dyn ProfSink) {
+        (**self).access_batch(vs, prof)
     }
 }
 

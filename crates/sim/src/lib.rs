@@ -11,21 +11,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compile;
 pub mod epsilon;
 pub mod multicore;
-pub mod replicate;
 pub mod runner;
 pub mod sweep;
 pub mod tenants;
 
-pub use compile::{CompileStats, Resolved, TenantCompiler, TraceCompiler};
 pub use epsilon::LatencyModel;
 pub use multicore::{
     run_multicore, run_multicore_observed, CoreStats, MulticoreConfig, MulticoreResult,
     ShootdownTally,
 };
-pub use replicate::{replicate, Summary};
 pub use runner::{run, run_batched, run_batched_profiled, SimStats, DEFAULT_BATCH};
 pub use sweep::{sweep, sweep_with_progress};
 pub use tenants::{run_tenants, run_tenants_batched, run_tenants_batched_windowed, TenantStats};

@@ -9,7 +9,7 @@
 //! changing the access sequence in any way.
 
 use atp_memmgmt::MemoryManager;
-use atp_types::{Costs, ProfSink, VirtPage};
+use atp_types::{Costs, NoProf, ProfSink, VirtPage};
 
 /// Default batch size for [`run`] (pages per chunk).
 pub const DEFAULT_BATCH: usize = 4096;
@@ -54,26 +54,14 @@ pub fn run_batched<M: MemoryManager + ?Sized>(
     measure: u64,
     batch: usize,
 ) -> SimStats {
-    assert!(batch > 0, "batch size must be positive");
-    let mut iter = trace.into_iter();
-    let mut buf = Vec::with_capacity(batch);
-    drive(mgr, &mut iter, warmup, batch, &mut buf);
-    let warmup_costs = mgr.costs();
-    mgr.reset_costs();
-    drive(mgr, &mut iter, measure, batch, &mut buf);
-    SimStats {
-        name: mgr.name(),
-        costs: mgr.costs(),
-        warmup_costs,
-    }
+    run_batched_profiled(mgr, trace, warmup, measure, batch, &mut NoProf)
 }
 
 /// [`run_batched`] with hot-path profiling: identical drive protocol and
-/// outcomes, but each chunk is serviced through
-/// [`MemoryManager::access_batch_profiled`], so lane occupancy and stage
-/// op counts land in `prof`. Both phases (warmup and measurement) are
-/// profiled; callers that want measurement-only profiles can reset or
-/// swap the sink between phases.
+/// outcomes, but each chunk's [`MemoryManager::access_batch`] reports
+/// lane occupancy and stage op counts into `prof`. Both phases (warmup
+/// and measurement) are profiled; callers that want measurement-only
+/// profiles can reset or swap the sink between phases.
 ///
 /// # Panics
 /// Panics if `batch` is zero.
@@ -88,10 +76,10 @@ pub fn run_batched_profiled<M: MemoryManager + ?Sized>(
     assert!(batch > 0, "batch size must be positive");
     let mut iter = trace.into_iter();
     let mut buf = Vec::with_capacity(batch);
-    drive_profiled(mgr, &mut iter, warmup, batch, &mut buf, prof);
+    drive(mgr, &mut iter, warmup, batch, &mut buf, prof);
     let warmup_costs = mgr.costs();
     mgr.reset_costs();
-    drive_profiled(mgr, &mut iter, measure, batch, &mut buf, prof);
+    drive(mgr, &mut iter, measure, batch, &mut buf, prof);
     SimStats {
         name: mgr.name(),
         costs: mgr.costs(),
@@ -107,6 +95,7 @@ fn drive<M: MemoryManager + ?Sized>(
     total: u64,
     batch: usize,
     buf: &mut Vec<VirtPage>,
+    prof: &mut dyn ProfSink,
 ) {
     let mut remaining = total;
     while remaining > 0 {
@@ -121,30 +110,7 @@ fn drive<M: MemoryManager + ?Sized>(
         // boundary emission below, are bit-for-bit the same — in
         // particular, an empty final chunk broke out above and announces
         // no boundary.
-        mgr.access_batch(buf);
-        mgr.batch_boundary(buf.len());
-        remaining -= buf.len() as u64;
-    }
-}
-
-/// [`drive`] through the profiled batch entry point.
-fn drive_profiled<M: MemoryManager + ?Sized>(
-    mgr: &mut M,
-    iter: &mut impl Iterator<Item = VirtPage>,
-    total: u64,
-    batch: usize,
-    buf: &mut Vec<VirtPage>,
-    prof: &mut dyn ProfSink,
-) {
-    let mut remaining = total;
-    while remaining > 0 {
-        let want = remaining.min(batch as u64) as usize;
-        buf.clear();
-        buf.extend(iter.by_ref().take(want));
-        if buf.is_empty() {
-            break;
-        }
-        mgr.access_batch_profiled(buf, prof);
+        mgr.access_batch(buf, prof);
         mgr.batch_boundary(buf.len());
         remaining -= buf.len() as u64;
     }

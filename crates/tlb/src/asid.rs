@@ -12,8 +12,7 @@
 //! inner sim's hit/miss counters over-count probes; [`AsidTlb`] keeps its
 //! own per-lookup [`AsidTlbStats`] instead.
 
-use crate::batch::LANES;
-use crate::full::Tlb;
+use crate::full::{Tlb, LANES};
 use atp_hash::{fx_hash, NO_SLOT};
 use atp_replacement::{AnyPolicy, Lru, Policy, PolicyBuild, PolicyKind};
 use atp_types::{Asid, NoProf, ProfSink, TaggedHugePage, VirtHugePage};

@@ -1,8 +1,62 @@
 //! A fully associative TLB with a pluggable replacement policy.
+//!
+//! [`Tlb`] has two entry points onto one state. The scalar path
+//! ([`Tlb::lookup`], [`Tlb::insert`], [`Tlb::update`],
+//! [`Tlb::invalidate`], [`Tlb::flush_asid`]) is one hash probe per
+//! operation. The batch path ([`Tlb::access_or_fill_batch`] and its
+//! `_map`/`_prof` variants) retires a whole in-order stream and exploits
+//! what a stream makes provable that a single access cannot: most
+//! retires are *re*-resolutions of something the stream resolved moments
+//! ago. Each lane runs three steps:
+//!
+//! 1. **speculative resolution** — the lane hash indexes a small
+//!    **resolution cache** (the software analogue of an L0 micro-TLB:
+//!    recently retired `(hash tag, slot)` pairs, never invalidated),
+//!    yielding a candidate slot without touching the flat
+//!    [`atp_hash::SlotIndex`];
+//! 2. **validated retire** — the candidate is accepted iff the key arena
+//!    *still* holds the lane's key at that slot
+//!    ([`CacheSim::slot_holds`]) — an exact O(1) residency proof, like a
+//!    hardware TLB's tag check at use, and immune to whatever membership
+//!    mutations earlier lanes (or scalar calls between batches)
+//!    performed. A validated lane pays the policy refresh and the hit
+//!    counter, minus the index probe and the value-arena load; a
+//!    back-to-back repeat of the same slot even elides the refresh for
+//!    policies that opt in ([`Policy::coalesces_repeat_hits`] — `on_hit`
+//!    idempotency makes the elision exact);
+//! 3. **fused slow lane** — a lane with no valid candidate (cold key,
+//!    stale hint, tag collision) re-runs the fused access *reusing the
+//!    lane hash*: hit → policy refresh, miss → fill + insert, with the
+//!    miss's probe doubling as the absence proof.
+//!
+//! Validation at retire is what keeps the batch path bit-for-bit equal to
+//! per-access [`Tlb::access_or_fill`] for every deterministic policy:
+//! counters, membership and victim choice are decided by the same state
+//! transitions in the same order; only redundant re-derivations (repeat
+//! index probes, re-hashes, unread value loads, policy splices that
+//! re-create the current state) are gone. The scalar path never reads or
+//! writes the hints, and need not: every hint is checked against the key
+//! arena before use, so no scalar mutation can make a batch retire wrong.
 
 use crate::key::TlbKey;
+use atp_hash::{fx_hash, NO_SLOT};
 use atp_replacement::{AnyPolicy, CacheSim, Lru, Policy, PolicyBuild, PolicyKind};
-use atp_types::{Asid, TaggedHugePage, VirtHugePage};
+use atp_types::{Asid, EvictCause, NoProf, ProfSink, TaggedHugePage, VirtHugePage};
+
+/// Lane-group width for the wide-probe paths that stage fixed-size groups
+/// ([`crate::AsidTlb`]'s shared-ASID group probe; the manager pipelines
+/// mirror it as `PREPARE_LANES`). [`Tlb`]'s own batch retire loop is
+/// stream-oriented and does not chunk.
+pub const LANES: usize = 16;
+
+/// Entries in the resolution cache (a power of two). Indexed by the top
+/// bits of the lane hash; a few KiB, so it stays L1-resident next to the
+/// structures it shortcuts while covering most of the hot mass of a skewed
+/// trace (the top 512 of a Zipf(1.1) working set carry ~90% of its
+/// accesses).
+const RECENT: usize = 512;
+/// Right-shift extracting a [`RECENT`]-entry index from a 64-bit hash.
+const RECENT_SHIFT: u32 = 64 - RECENT.trailing_zeros();
 
 /// TLB event counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -30,10 +84,18 @@ pub struct TlbStats {
 /// experiments. The key parameter `K` defaults to [`VirtHugePage`]
 /// (single address space); multi-tenant simulations use
 /// [`TaggedHugePage`] keys, which additionally unlock
-/// [`Tlb::flush_asid`].
+/// [`Tlb::flush_asid`]. See the module docs for the batch path.
 #[derive(Debug)]
 pub struct Tlb<V, P: Policy = Lru, K: TlbKey = VirtHugePage> {
     sim: CacheSim<K, P, V>,
+    /// The batch path's resolution cache: recently retired
+    /// `(lane hash, slot)` pairs, the full 64-bit hash standing in for the
+    /// key. Hints only (see the module docs): a stale slot, a tag collision
+    /// or the zeroed initial state costs one fallback probe, never
+    /// correctness, so nothing ever invalidates it. Slots start in bounds
+    /// (slot 0), so validation is always a safe arena read. Boxed so the
+    /// scalar-only users of `Tlb` carry one pointer, not the table.
+    recent: Box<[(u64, u32); RECENT]>,
     /// Insert/invalidation/eviction counters; hits and misses live in the
     /// sim (counted by `access_if_present`) so the hit path pays for them
     /// exactly once. [`Tlb::stats`] assembles the full view.
@@ -61,6 +123,7 @@ impl<V, P: Policy, K: TlbKey> Tlb<V, P, K> {
     pub fn with_policy(entries: u64, policy: P) -> Self {
         Self {
             sim: CacheSim::new(entries as usize, policy),
+            recent: Box::new([(0, 0); RECENT]),
             stats: TlbStats::default(),
         }
     }
@@ -194,6 +257,148 @@ impl<V, P: Policy, K: TlbKey> Tlb<V, P, K> {
         false
     }
 
+    /// Accesses every key in `us` in order, filling misses from `fill`,
+    /// and returns how many hit. Bit-for-bit equivalent to calling
+    /// [`Tlb::access_or_fill`] per key for every deterministic policy;
+    /// internally each access runs speculative resolution → validated
+    /// retire, falling back to one fused probe (see the module docs).
+    pub fn access_or_fill_batch(&mut self, us: &[K], fill: impl FnMut(K) -> V) -> u64 {
+        self.access_or_fill_batch_map(us, |k| k, fill)
+    }
+
+    /// [`Tlb::access_or_fill_batch`] over a raw stream: each element of
+    /// `us` becomes a key through `key` inside the retire loop, so a
+    /// driver holding `&[u64]` pages feeds the engine with no staging
+    /// copy into a key buffer. `key` must be pure and is expected to be a
+    /// newtype wrap the optimizer erases.
+    pub fn access_or_fill_batch_map<U: Copy>(
+        &mut self,
+        us: &[U],
+        key: impl Fn(U) -> K,
+        fill: impl FnMut(K) -> V,
+    ) -> u64 {
+        self.access_or_fill_batch_map_prof(us, key, fill, NoProf)
+    }
+
+    /// [`Tlb::access_or_fill_batch`] with a [`ProfSink`]: identical state
+    /// transitions and return value, plus a resolution breakdown into the
+    /// sink — `rc_hit` for fast-lane validated resolutions, `rc_stale` for
+    /// slow-lane hits, `rc_cold` for misses (so `rc_hit + rc_stale` equals
+    /// the hit count and `rc_cold` the miss count), slow-lane probe
+    /// lengths, consecutive-miss run lengths, and capacity evictions.
+    pub fn access_or_fill_batch_prof<PS: ProfSink>(
+        &mut self,
+        us: &[K],
+        fill: impl FnMut(K) -> V,
+        prof: PS,
+    ) -> u64 {
+        self.access_or_fill_batch_map_prof(us, |k| k, fill, prof)
+    }
+
+    /// [`Tlb::access_or_fill_batch_map`] with a [`ProfSink`] (see
+    /// [`Tlb::access_or_fill_batch_prof`] for what is reported). The
+    /// unprofiled entry points delegate here with [`NoProf`], whose
+    /// `enabled()` constant-folds to `false` — every profiling branch
+    /// below folds away.
+    pub fn access_or_fill_batch_map_prof<U: Copy, PS: ProfSink>(
+        &mut self,
+        us: &[U],
+        key: impl Fn(U) -> K,
+        mut fill: impl FnMut(K) -> V,
+        mut prof: PS,
+    ) -> u64 {
+        let Self { sim, recent, stats } = self;
+        let profiled = prof.enabled();
+        let mut hits = 0u64;
+        // Length of the current run of consecutive misses (profiled only).
+        let mut miss_run = 0u64;
+        // Slot of the most recently retired *hit*, NO_SLOT after an insert.
+        // For policies that opt in (constant-folds per monomorphization),
+        // a validated repeat hit on this slot elides its policy refresh:
+        // `on_hit` is idempotent under immediate repetition (a `Policy`
+        // contract), so only the counter moves. Sequential scans and BFS
+        // adjacency runs — long runs of one huge page — then retire at
+        // counter speed instead of re-splicing the LRU head each lane.
+        let coalesce = sim.coalesces_repeat_hits();
+        let mut last_hit = NO_SLOT;
+        for &u in us {
+            let k = key(u);
+            let h = fx_hash(&k);
+            // Speculative resolution: the lane's candidate slot comes from
+            // the resolution cache, tagged by the full lane hash. It is
+            // accepted iff the key arena still holds the lane's key at
+            // that slot — an exact residency proof, whatever membership
+            // mutations happened since — and then retires as a hit
+            // without ever probing the slot index.
+            let r = (h >> RECENT_SHIFT) as usize;
+            // atp-lint: allow(no-panic-hotpath, reason = "r = h >> RECENT_SHIFT < RECENT by construction; recent is a fixed [_; RECENT] array")
+            let (tag, rs) = recent[r];
+            if tag == h && sim.slot_holds(rs, &k) {
+                if coalesce && rs == last_hit {
+                    sim.count_repeat_hit();
+                } else {
+                    sim.apply_hit_counted(rs);
+                    last_hit = rs;
+                }
+                hits += 1;
+                if profiled {
+                    prof.rc_hit(1);
+                    if miss_run > 0 {
+                        prof.miss_run(miss_run);
+                        miss_run = 0;
+                    }
+                }
+                continue;
+            }
+            // Slow lane (cold key, stale hint, tag collision): one fused
+            // access reusing the lane hash.
+            if profiled {
+                // The extra pure-read probe exists only to measure, so it
+                // is gated on the sink actually collecting.
+                prof.probe_len(sim.probe_len_hashed(h, &k));
+            }
+            let s = if let Some(s) = sim.access_slot_hashed(h, &k) {
+                hits += 1;
+                last_hit = s;
+                if profiled {
+                    prof.rc_stale(1);
+                    if miss_run > 0 {
+                        prof.miss_run(miss_run);
+                        miss_run = 0;
+                    }
+                }
+                s
+            } else {
+                // Miss: the probe above is the absence proof, so the
+                // insert pays no further residency checks. The repeat-hit
+                // slot must be forgotten: the eviction may have freed it
+                // for this very insert, and the new tenant's first hit
+                // owes a real `on_hit`.
+                let v = fill(k);
+                stats.inserts += 1;
+                let (s, evicted) = sim.insert_cold_hashed(h, k, v);
+                if evicted.is_some() {
+                    stats.evictions += 1;
+                    if profiled {
+                        prof.eviction(EvictCause::Capacity);
+                    }
+                }
+                if profiled {
+                    prof.rc_cold(1);
+                    miss_run += 1;
+                }
+                last_hit = NO_SLOT;
+                s
+            };
+            // atp-lint: allow(no-panic-hotpath, reason = "r = h >> RECENT_SHIFT < RECENT by construction; recent is a fixed [_; RECENT] array")
+            recent[r] = (h, s);
+        }
+        if profiled && miss_run > 0 {
+            prof.miss_run(miss_run);
+        }
+        hits
+    }
+
     /// Iterates resident (huge page, value) pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.sim.entries()
@@ -221,6 +426,8 @@ impl<V, P: Policy> Tlb<V, P, TaggedHugePage> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atp_hash::CounterRng;
+    use atp_replacement::{Clock, Fifo, Sieve};
 
     #[test]
     fn hit_miss_and_fill() {
@@ -360,5 +567,302 @@ mod tests {
             }
             assert_eq!(tlb.len(), tlb.iter().count());
         }
+    }
+
+    /// One step of a churn script over page `p`.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// Queued for the next batch call (per-access `access_or_fill` on
+        /// the scalar twin).
+        Access(u64),
+        Lookup(u64),
+        /// Inserts `p` unless it is resident.
+        Insert(u64),
+        Update(u64),
+        Invalidate(u64),
+        /// `flush_asid` of the page's address space (tagged keys only).
+        Flush(u64),
+    }
+
+    /// Retires the queued accesses: one batch call on `fast`, per-access
+    /// fills on `gold`. Fill values count fills, so a divergent fill
+    /// order shows up as a value mismatch.
+    fn drain<P: Policy, K: TlbKey>(
+        fast: &mut Tlb<u64, P, K>,
+        gold: &mut Tlb<u64, P, K>,
+        pending: &mut Vec<K>,
+        fills: &mut [u64; 2],
+    ) {
+        let fast_hits = fast.access_or_fill_batch(pending, |_| {
+            fills[0] += 1;
+            fills[0]
+        });
+        let mut gold_hits = 0;
+        for &k in pending.iter() {
+            if gold.access_or_fill(k, || {
+                fills[1] += 1;
+                fills[1]
+            }) {
+                gold_hits += 1;
+            }
+        }
+        assert_eq!(fast_hits, gold_hits, "batch hits diverged");
+        assert_eq!(fast.stats(), gold.stats(), "counters diverged");
+        pending.clear();
+    }
+
+    /// Runs `ops` on one `Tlb` driven through the batch path between its
+    /// scalar calls and on a scalar-only twin with the same policy.
+    /// Accesses queue into batches of `batch`; every other op drains the
+    /// queue first, then runs on both. Hits, return values, counters and
+    /// the resident (key, value) set must agree throughout.
+    fn assert_batch_matches_scalar<P: Policy + PolicyBuild, K: TlbKey + Ord>(
+        ops: &[Op],
+        entries: u64,
+        batch: usize,
+        key: impl Fn(u64) -> K,
+        flush: impl Fn(&mut Tlb<u64, P, K>, u64) -> u64,
+    ) {
+        let mut fast: Tlb<u64, P, K> = Tlb::monomorphic(entries, 0);
+        let mut gold: Tlb<u64, P, K> = Tlb::monomorphic(entries, 0);
+        let mut pending: Vec<K> = Vec::new();
+        let mut fills = [0u64; 2];
+        for &op in ops {
+            if let Op::Access(p) = op {
+                pending.push(key(p));
+                if pending.len() == batch {
+                    drain(&mut fast, &mut gold, &mut pending, &mut fills);
+                }
+                continue;
+            }
+            drain(&mut fast, &mut gold, &mut pending, &mut fills);
+            match op {
+                Op::Access(_) => unreachable!(),
+                Op::Lookup(p) => assert_eq!(
+                    fast.lookup(key(p)).copied(),
+                    gold.lookup(key(p)).copied(),
+                    "{op:?}"
+                ),
+                Op::Insert(p) => {
+                    assert_eq!(fast.contains(key(p)), gold.contains(key(p)), "{op:?}");
+                    if !gold.contains(key(p)) {
+                        assert_eq!(fast.insert(key(p), p), gold.insert(key(p), p), "{op:?}");
+                    }
+                }
+                Op::Update(p) => assert_eq!(
+                    fast.update(key(p), |v| *v += 1000),
+                    gold.update(key(p), |v| *v += 1000),
+                    "{op:?}"
+                ),
+                Op::Invalidate(p) => {
+                    assert_eq!(fast.invalidate(key(p)), gold.invalidate(key(p)), "{op:?}");
+                }
+                Op::Flush(p) => assert_eq!(flush(&mut fast, p), flush(&mut gold, p), "{op:?}"),
+            }
+        }
+        drain(&mut fast, &mut gold, &mut pending, &mut fills);
+        assert_eq!(fast.len(), gold.len());
+        let mut a: Vec<(K, u64)> = fast.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut b: Vec<(K, u64)> = gold.iter().map(|(k, v)| (*k, *v)).collect();
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "resident sets diverged");
+    }
+
+    /// `(ops, entries, batch)` churn scripts; `flushes` mixes in
+    /// `Op::Flush`.
+    type ChurnScript = (Vec<Op>, u64, usize);
+
+    fn churn_scripts(flushes: bool) -> Vec<ChurnScript> {
+        let mut scripts = Vec::new();
+        for (seed, span, entries, batch) in [
+            (1u64, 40u64, 16u64, 16usize),
+            (2, 8, 4, 7),
+            (3, 200, 16, 16),
+            (4, 13, 8, 1),
+            (5, 64, 32, 13),
+        ] {
+            let mut rng = CounterRng::new(0xBA7C, seed);
+            let ops: Vec<Op> = (0..4000)
+                .map(|_| {
+                    let p = rng.next_below(span);
+                    match rng.next_below(24) {
+                        0 | 1 => Op::Invalidate(p),
+                        2 => Op::Lookup(p),
+                        3 => Op::Insert(p),
+                        4 => Op::Update(p),
+                        5 if flushes => Op::Flush(p),
+                        _ => Op::Access(p),
+                    }
+                })
+                .collect();
+            scripts.push((ops, entries, batch));
+        }
+        scripts
+    }
+
+    /// Tagged keys over three address spaces plus global entries.
+    fn tagged(p: u64) -> TaggedHugePage {
+        let huge = VirtHugePage(p / 4);
+        match p % 4 {
+            0 => TaggedHugePage::global(huge),
+            a => TaggedHugePage::new(Asid(a as u32), huge),
+        }
+    }
+
+    fn batch_matches_scalar_under_churn<P: Policy + PolicyBuild>() {
+        for (ops, entries, batch) in churn_scripts(false) {
+            assert_batch_matches_scalar::<P, _>(&ops, entries, batch, VirtHugePage, |_, _| 0);
+        }
+        for (ops, entries, batch) in churn_scripts(true) {
+            assert_batch_matches_scalar::<P, _>(&ops, entries, batch, tagged, |t, p| {
+                t.flush_asid(tagged(p).asid)
+            });
+        }
+    }
+
+    #[test]
+    fn equivalent_to_fused_lru_under_churn() {
+        batch_matches_scalar_under_churn::<Lru>();
+    }
+
+    #[test]
+    fn equivalent_to_fused_fifo_under_churn() {
+        batch_matches_scalar_under_churn::<Fifo>();
+    }
+
+    #[test]
+    fn equivalent_to_fused_clock_under_churn() {
+        batch_matches_scalar_under_churn::<Clock>();
+    }
+
+    #[test]
+    fn equivalent_to_fused_sieve_under_churn() {
+        batch_matches_scalar_under_churn::<Sieve>();
+    }
+
+    #[test]
+    fn runtime_policy_batch_matches_scalar() {
+        for kind in [
+            PolicyKind::Lru,
+            PolicyKind::Fifo,
+            PolicyKind::Clock,
+            PolicyKind::Sieve,
+        ] {
+            let mut fast: Tlb<u64, AnyPolicy> = Tlb::new(8, kind, 0);
+            let mut gold: Tlb<u64, AnyPolicy> = Tlb::new(8, kind, 0);
+            let us: Vec<VirtHugePage> = (0..600).map(|i| VirtHugePage(i * 7 % 23)).collect();
+            let fast_hits = fast.access_or_fill_batch(&us, |u| u.0);
+            let mut gold_hits = 0;
+            for &u in &us {
+                if gold.access_or_fill(u, || u.0) {
+                    gold_hits += 1;
+                }
+            }
+            assert_eq!(fast_hits, gold_hits, "{kind} hit counts diverged");
+            assert_eq!(fast.stats(), gold.stats(), "{kind} stats diverged");
+        }
+    }
+
+    #[test]
+    fn duplicate_misses_in_one_batch_fill_then_hit() {
+        // Same absent page thrice in one batch: the first lane misses and
+        // fills, the others must hit — exactly like per-access fills.
+        let mut t: Tlb<u64> = Tlb::lru(4);
+        let us = [VirtHugePage(9), VirtHugePage(9), VirtHugePage(9)];
+        let hits = t.access_or_fill_batch(&us, |u| u.0);
+        assert_eq!(hits, 2);
+        let s = t.stats();
+        assert_eq!((s.hits, s.misses, s.inserts), (2, 1, 1));
+    }
+
+    #[test]
+    fn second_lap_of_a_batch_hits() {
+        let mut t: Tlb<u64> = Tlb::lru(64);
+        let us: Vec<VirtHugePage> = (0..50).map(|i| VirtHugePage(i % 25)).collect();
+        let hits = t.access_or_fill_batch(&us, |u| u.0);
+        assert_eq!(hits, 25, "second lap over 25 pages all hit");
+        assert_eq!(t.len(), 25);
+    }
+
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        let mut t: Tlb<u64> = Tlb::lru(2);
+        assert_eq!(t.access_or_fill_batch(&[], |u| u.0), 0);
+        assert_eq!(t.stats(), TlbStats::default());
+    }
+
+    #[derive(Default)]
+    struct Tally {
+        rc_hit: u64,
+        rc_stale: u64,
+        rc_cold: u64,
+        probes: u64,
+        runs: Vec<u64>,
+        evictions: u64,
+    }
+
+    impl ProfSink for Tally {
+        fn rc_hit(&mut self, n: u64) {
+            self.rc_hit += n;
+        }
+        fn rc_stale(&mut self, n: u64) {
+            self.rc_stale += n;
+        }
+        fn rc_cold(&mut self, n: u64) {
+            self.rc_cold += n;
+        }
+        fn probe_len(&mut self, _len: u64) {
+            self.probes += 1;
+        }
+        fn miss_run(&mut self, len: u64) {
+            self.runs.push(len);
+        }
+        fn eviction(&mut self, cause: EvictCause) {
+            assert_eq!(cause, EvictCause::Capacity);
+            self.evictions += 1;
+        }
+    }
+
+    #[test]
+    fn profiled_batch_is_behaviour_identical_and_reconciles() {
+        // A key span well past RECENT (512) so hints get overwritten by
+        // colliding keys while their targets stay resident (→ rc_stale),
+        // and past the capacity so fills evict (→ rc_cold + evictions).
+        let mut rng = CounterRng::new(0x9B0F, 3);
+        let us: Vec<VirtHugePage> = (0..30_000)
+            .map(|_| VirtHugePage(rng.next_below(1000)))
+            .collect();
+        let mut plain: Tlb<u64> = Tlb::lru(512);
+        let mut prof: Tlb<u64> = Tlb::lru(512);
+        let mut tally = Tally::default();
+        let mut plain_hits = 0;
+        let mut prof_hits = 0;
+        for chunk in us.chunks(37) {
+            plain_hits += plain.access_or_fill_batch(chunk, |u| u.0 * 3);
+            prof_hits += prof.access_or_fill_batch_prof(chunk, |u| u.0 * 3, &mut tally);
+        }
+        assert_eq!(plain_hits, prof_hits, "profiling changed behaviour");
+        assert_eq!(plain.stats(), prof.stats());
+        let s = prof.stats();
+        // The resolution breakdown reconciles exactly with the sim totals.
+        assert_eq!(tally.rc_hit + tally.rc_stale, s.hits);
+        assert_eq!(tally.rc_cold, s.misses);
+        assert!(tally.rc_hit > 0, "hot trace must exercise the fast lane");
+        assert!(tally.rc_stale > 0, "churn must exercise stale hints");
+        // Every slow-lane access measured exactly one probe.
+        assert_eq!(tally.probes, tally.rc_stale + tally.rc_cold);
+        // Miss runs partition the misses.
+        assert_eq!(tally.runs.iter().sum::<u64>(), s.misses);
+        assert_eq!(tally.evictions, s.evictions);
+    }
+
+    #[test]
+    fn trailing_miss_run_is_flushed_at_batch_end() {
+        let mut t: Tlb<u64> = Tlb::lru(8);
+        let mut tally = Tally::default();
+        let us: Vec<VirtHugePage> = (0..5).map(VirtHugePage).collect();
+        t.access_or_fill_batch_prof(&us, |u| u.0, &mut tally);
+        assert_eq!(tally.runs, [5], "all-miss batch ends one run of 5");
     }
 }

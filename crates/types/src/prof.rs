@@ -1,7 +1,7 @@
 //! The profiling seam of the hot paths: [`ProfSink`].
 //!
-//! Every batched engine in the workspace (the `BatchTlb` retire loop, the
-//! `AsidTlb` wide probe, the pipeline's lane-group retirement) accepts a
+//! Every batched engine in the workspace (the batch retire loop of `Tlb`,
+//! the `AsidTlb` wide probe, the pipeline's lane-group retirement) accepts a
 //! `ProfSink` and reports *logical* operation counts into it — resolution
 //! outcomes, probe lengths, miss-run lengths, lane occupancy, eviction
 //! causes, per-stage op counts. All quantities are deterministic functions
@@ -16,7 +16,9 @@
 //!   with `&mut NoProf` and compile to the exact pre-seam loop;
 //! * the trait is object-safe, so cold control paths (driver plumbing,
 //!   `Box<dyn MemoryManager>`) can pass `&mut dyn ProfSink` without
-//!   monomorphizing the whole driver stack.
+//!   monomorphizing the whole driver stack. `MemoryManager::access_batch`
+//!   and the sim runner take one, so each layer keeps a single batch loop
+//!   that reads `enabled()` once per call.
 //!
 //! The concrete collecting sink lives in `atp-obs::profile`; this crate
 //! only defines the vocabulary so the hot-path crates stay free of any

@@ -102,12 +102,11 @@ fn hpc_workloads_bracket_tlb_behaviour() {
 #[test]
 fn theorem3_zero_failures_across_seeds() {
     use atp::core::{IcebergAlloc, IcebergParams, RamAllocator};
-    use atp::sim::replicate;
     use atp::types::VirtPage as V;
 
     let params = IcebergParams::derive(1 << 14);
     let seeds: Vec<u64> = (0..16).collect();
-    let summary = replicate(&seeds, 0, |seed| {
+    let failures = atp::sim::sweep(&seeds, 0, |&seed| {
         let mut alloc = IcebergAlloc::new(&params, seed);
         let mut failures = 0u64;
         // Sliding window churn at the full resident bound.
@@ -120,7 +119,11 @@ fn theorem3_zero_failures_across_seeds() {
                 failures += 1;
             }
         }
-        failures as f64
+        failures
     });
-    assert_eq!(summary.max, 0.0, "failures observed: {summary}");
+    assert_eq!(
+        failures.iter().max(),
+        Some(&0),
+        "failures per seed: {failures:?}"
+    );
 }
