@@ -11,7 +11,7 @@ use atp_check::oracles::{counters_modulo_batches, run_single_step};
 use atp_check::{check_config, ensure_eq, u64s, vecs, Config, Gen};
 use atp_core::{IcebergAlloc, IcebergParams};
 use atp_memmgmt::classic::{ClassicConfig, ClassicMm, ClassicStages};
-use atp_memmgmt::decoupled::DecoupledConfig;
+use atp_memmgmt::decoupled::{DecoupledConfig, DecoupledStages};
 use atp_memmgmt::only::{PagingOnlyStages, VirtualOnlyStages};
 use atp_memmgmt::{
     AccessReport, DecoupledMm, EvictionEvent, HybridMm, MemoryManager, PagingOnlyMm, Pipeline,
@@ -35,14 +35,6 @@ const POLICIES: [PolicyKind; 4] = [
 /// Fresh instances of all seven manager families under one policy kind.
 fn managers(policy: PolicyKind) -> Vec<Box<dyn MemoryManager>> {
     let params = IcebergParams::derive(PHYS);
-    let decoupled_cfg = |seed: u64| DecoupledConfig {
-        tlb_value_bits: 64,
-        tlb_entries: TLB,
-        tlb_policy: policy,
-        resident_pages: params.max_resident,
-        ram_policy: policy,
-        seed,
-    };
     vec![
         Box::new(ClassicMm::new(ClassicConfig {
             huge_pages: 8,
@@ -56,11 +48,11 @@ fn managers(policy: PolicyKind) -> Vec<Box<dyn MemoryManager>> {
         Box::new(PagingOnlyMm::new(PHYS, policy, 11)),
         Box::new(DecoupledMm::new(
             IcebergAlloc::new(&params, 11),
-            decoupled_cfg(11),
+            z_config(policy, params.max_resident, 11),
         )),
         Box::new(HybridMm::new(
             IcebergAlloc::new(&params, 13),
-            decoupled_cfg(13),
+            z_config(policy, params.max_resident, 13),
             4,
         )),
         Box::new(SparseDecoupledMm::new(
@@ -243,8 +235,59 @@ fn observer_event_streams_match_for_every_policy() {
                 &|| PagingOnlyStages::new(PHYS, policy, 11),
                 pages,
                 "paging-only",
-            )
+            )?;
+            let params = IcebergParams::derive(PHYS);
+            diff_event_streams(
+                &|| {
+                    DecoupledStages::new(
+                        IcebergAlloc::new(&params, 11),
+                        z_config(policy, params.max_resident, 11),
+                    )
+                },
+                pages,
+                "decoupled",
+            )?;
+            diff_event_streams(&|| degenerate_z(policy), pages, "decoupled-degenerate")
         });
+    }
+}
+
+/// `Z`'s configuration at this suite's TLB size.
+fn z_config(policy: PolicyKind, resident_pages: u64, seed: u64) -> DecoupledConfig {
+    DecoupledConfig {
+        tlb_value_bits: 64,
+        tlb_entries: TLB,
+        tlb_policy: policy,
+        resident_pages,
+        ram_policy: policy,
+        seed,
+    }
+}
+
+/// `Z` over a degenerate Iceberg: 4 bins of one front and one back slot,
+/// with all 8 frames in the resident budget. Pages whose three bins are
+/// full fail placement, so the failure path (`F`: decode misses, repaid
+/// IOs) shows up in the compared event streams.
+fn degenerate_z(policy: PolicyKind) -> DecoupledStages<IcebergAlloc> {
+    DecoupledStages::new(
+        IcebergAlloc::with_geometry(4, 1, 1, 23),
+        z_config(policy, 8, 23),
+    )
+}
+
+#[test]
+fn degenerate_z_takes_the_failure_path() {
+    // Guards the event-stream differential above: its degenerate `Z`
+    // must actually reach `F`, or the failure-path comparison is vacuous.
+    for policy in POLICIES {
+        let mut z = Pipeline::with_observer(degenerate_z(policy), EventLog::default());
+        run_single_step(&mut z, (0..200).map(|p| VirtPage(p * 7)), 0, 200);
+        let failed = z
+            .observer()
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::Access(_, r) if r.paging_failure && r.decode_miss));
+        assert!(failed.count() > 0, "{policy:?}: no paging failure reached");
     }
 }
 

@@ -275,36 +275,36 @@ fn build_observed<O: SimObserver + 'static>(
         )),
         "decoupled" => {
             let params = IcebergParams::derive(c.phys);
+            let cfg = DecoupledConfig {
+                tlb_value_bits: 64,
+                tlb_entries: c.tlb,
+                tlb_policy: c.policy,
+                resident_pages: params.max_resident,
+                ram_policy: c.policy,
+                seed: c.seed,
+            };
+            cfg.validate()
+                .map_err(|e| ArgError(format!("--manager decoupled: {e}")))?;
             Box::new(Pipeline::with_observer(
-                DecoupledStages::new(
-                    IcebergAlloc::new(&params, c.seed),
-                    DecoupledConfig {
-                        tlb_value_bits: 64,
-                        tlb_entries: c.tlb,
-                        tlb_policy: c.policy,
-                        resident_pages: params.max_resident,
-                        ram_policy: c.policy,
-                        seed: c.seed,
-                    },
-                ),
+                DecoupledStages::new(IcebergAlloc::new(&params, c.seed), cfg),
                 obs,
             ))
         }
         "sparse" => {
             let params = IcebergParams::derive(c.phys);
+            let cfg = SparseConfig {
+                tlb_value_bits: 64,
+                coverage: c.h.max(2).next_power_of_two(),
+                tlb_entries: c.tlb,
+                tlb_policy: c.policy,
+                resident_pages: params.max_resident,
+                ram_policy: c.policy,
+                seed: c.seed,
+            };
+            cfg.validate()
+                .map_err(|e| ArgError(format!("--manager sparse: {e}")))?;
             Box::new(Pipeline::with_observer(
-                SparseStages::new(
-                    IcebergAlloc::new(&params, c.seed),
-                    SparseConfig {
-                        tlb_value_bits: 64,
-                        coverage: c.h.max(2).next_power_of_two(),
-                        tlb_entries: c.tlb,
-                        tlb_policy: c.policy,
-                        resident_pages: params.max_resident,
-                        ram_policy: c.policy,
-                        seed: c.seed,
-                    },
-                ),
+                SparseStages::new(IcebergAlloc::new(&params, c.seed), cfg),
                 obs,
             ))
         }
@@ -325,14 +325,22 @@ fn build_observed<O: SimObserver + 'static>(
                 .map_err(|e| ArgError(format!("--manager thp: {e}")))?;
             Box::new(Pipeline::with_observer(ThpStages::new(cfg), obs))
         }
-        "x" => Box::new(Pipeline::with_observer(
-            VirtualOnlyStages::new(c.h, c.tlb, c.policy, c.seed),
-            obs,
-        )),
-        "y" => Box::new(Pipeline::with_observer(
-            PagingOnlyStages::new(c.phys, c.policy, c.seed),
-            obs,
-        )),
+        "x" => {
+            VirtualOnlyStages::validate(c.h, c.tlb)
+                .map_err(|e| ArgError(format!("--manager x: {e}")))?;
+            Box::new(Pipeline::with_observer(
+                VirtualOnlyStages::new(c.h, c.tlb, c.policy, c.seed),
+                obs,
+            ))
+        }
+        "y" => {
+            PagingOnlyStages::validate(c.phys)
+                .map_err(|e| ArgError(format!("--manager y: {e}")))?;
+            Box::new(Pipeline::with_observer(
+                PagingOnlyStages::new(c.phys, c.policy, c.seed),
+                obs,
+            ))
+        }
         other => return Err(ArgError(format!("unknown manager {other:?}"))),
     })
 }
@@ -1809,6 +1817,23 @@ mod tests {
             ("--manager classic --phys 1", "phys_pages"),
             ("--manager classic --h 3", "power of two"),
             ("--manager classic --phys 2^40", "out of range"),
+        ] {
+            let mut args = vec!["simulate"];
+            args.extend(vector.split(' '));
+            assert_eq!(crate::run(&argv(&args)), 2, "{vector}");
+            let err = simulate(&argv(&args[1..])).unwrap_err();
+            assert!(err.0.contains(want), "{vector}: {err}");
+        }
+    }
+
+    #[test]
+    fn invalid_decoupled_sparse_x_and_y_configs_exit_2() {
+        // Each of these used to panic (exit 101) inside a constructor.
+        for (vector, want) in [
+            ("--manager decoupled --tlb 0", "tlb_entries"),
+            ("--manager sparse --tlb 0", "tlb_entries"),
+            ("--manager x --h 3", "power of two"),
+            ("--manager y --phys 0", "resident_pages"),
         ] {
             let mut args = vec!["simulate"];
             args.extend(vector.split(' '));

@@ -8,17 +8,19 @@
 //! This allocator lets the `ablation_alloc` bench measure the empirical gap
 //! against Iceberg at equal bin budgets.
 
+use super::slots::SlotStacks;
 use super::{PagingFailure, Placement, RamAllocator};
 use crate::encoding::SlotCode;
 use crate::params::bits_for;
 use atp_hash::{FxHashMap, PageHasher};
 use atp_types::{PhysPage, VirtPage};
+use std::collections::hash_map::Entry;
 
 /// Greedy\[d\] bucketed allocator.
 #[derive(Clone, Debug)]
 pub struct GreedyAlloc {
     hasher: PageHasher,
-    free_slots: Vec<Vec<u32>>,
+    free_slots: SlotStacks,
     placed: FxHashMap<VirtPage, (u64, u32, u8)>,
     bin_size: u32,
     d: u32,
@@ -38,7 +40,7 @@ impl GreedyAlloc {
         assert!(d >= 2, "Greedy[d] requires d >= 2");
         Self {
             hasher: PageHasher::new(seed, bins, d),
-            free_slots: (0..bins).map(|_| (0..bin_size).rev().collect()).collect(),
+            free_slots: SlotStacks::full(bins, 0, bin_size),
             placed: FxHashMap::default(),
             bin_size,
             d,
@@ -49,7 +51,7 @@ impl GreedyAlloc {
 
     /// Load of bin `b`.
     pub fn bin_load(&self, b: u64) -> u32 {
-        self.bin_size - self.free_slots[b as usize].len() as u32
+        self.bin_size - self.free_slots.len(b)
     }
 
     #[inline]
@@ -60,7 +62,6 @@ impl GreedyAlloc {
 
 impl RamAllocator for GreedyAlloc {
     fn place(&mut self, v: VirtPage) -> Result<Placement, PagingFailure> {
-        assert!(!self.placed.contains_key(&v), "page {v:?} double-placed");
         // Least-loaded choice with free capacity, ties toward lower index.
         let mut best: Option<(u64, u8, u32)> = None; // (bin, idx, load)
         for i in 0..self.d {
@@ -70,11 +71,14 @@ impl RamAllocator for GreedyAlloc {
                 best = Some((b, i as u8, load));
             }
         }
+        let Entry::Vacant(entry) = self.placed.entry(v) else {
+            panic!("page {v:?} double-placed");
+        };
         match best {
             Some((bin, idx, _)) => {
                 // atp-lint: allow(unwrap-policy, reason = "invariant: the chosen bin was just checked to have load below capacity, so a free slot exists")
-                let slot = self.free_slots[bin as usize].pop().expect("free slot");
-                self.placed.insert(v, (bin, slot, idx));
+                let slot = self.free_slots.pop(bin).expect("free slot");
+                entry.insert((bin, slot, idx));
                 Ok(Placement {
                     frame: self.frame(bin, slot),
                     code: SlotCode(1 + idx as u32 * self.bin_size + slot),
@@ -86,7 +90,7 @@ impl RamAllocator for GreedyAlloc {
 
     fn free(&mut self, v: VirtPage) -> Option<PhysPage> {
         let (bin, slot, _) = self.placed.remove(&v)?;
-        self.free_slots[bin as usize].push(slot);
+        self.free_slots.push(bin, slot);
         Some(self.frame(bin, slot))
     }
 
@@ -115,7 +119,7 @@ impl RamAllocator for GreedyAlloc {
     }
 
     fn phys_pages(&self) -> u64 {
-        self.free_slots.len() as u64 * self.bin_size as u64
+        self.free_slots.bins() * self.bin_size as u64
     }
 
     fn resident(&self) -> u64 {
@@ -138,7 +142,56 @@ impl RamAllocator for GreedyAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::contract::churn_contract;
+    use crate::alloc::contract::{churn_contract, churn_matches_model, vec_stacks, VecModel};
+
+    /// The pre-[`SlotStacks`] layout: one free list per bin.
+    struct Model {
+        hasher: PageHasher,
+        free: Vec<Vec<u32>>,
+        placed: FxHashMap<VirtPage, (u64, u32)>,
+        bin_size: u32,
+        d: u32,
+    }
+
+    impl VecModel for Model {
+        fn place(&mut self, v: VirtPage) -> Option<Placement> {
+            let mut best: Option<(u64, u32, usize)> = None; // (bin, idx, free)
+            for i in 0..self.d {
+                let b = self.hasher.bin(v, i);
+                let free = self.free[b as usize].len();
+                if free > 0 && best.is_none_or(|(_, _, f)| free > f) {
+                    best = Some((b, i, free));
+                }
+            }
+            let (bin, idx, _) = best?;
+            let slot = self.free[bin as usize].pop()?;
+            self.placed.insert(v, (bin, slot));
+            Some(Placement {
+                frame: PhysPage(bin * self.bin_size as u64 + slot as u64),
+                code: SlotCode(1 + idx * self.bin_size + slot),
+            })
+        }
+
+        fn free(&mut self, v: VirtPage) -> Option<PhysPage> {
+            let (bin, slot) = self.placed.remove(&v)?;
+            self.free[bin as usize].push(slot);
+            Some(PhysPage(bin * self.bin_size as u64 + slot as u64))
+        }
+    }
+
+    #[test]
+    fn slot_stacks_match_vec_free_lists() {
+        let (bins, bin_size, d, seed) = (16, 4, 3, 21);
+        let model = Model {
+            hasher: PageHasher::new(seed, bins, d),
+            free: vec_stacks(bins, 0, bin_size),
+            placed: FxHashMap::default(),
+            bin_size,
+            d,
+        };
+        let alloc = GreedyAlloc::with_geometry(bins, bin_size, d, seed);
+        churn_matches_model(alloc, model, 1000, 20_000);
+    }
 
     #[test]
     fn contract_holds() {

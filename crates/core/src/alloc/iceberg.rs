@@ -15,29 +15,30 @@
 //! code F+B+1 ..= F+2B                     back slot  (code−F−B−1) of bin h₃(v)
 //! ```
 
+use super::slots::SlotStacks;
 use super::{PagingFailure, Placement, RamAllocator};
 use crate::encoding::SlotCode;
 use crate::params::{bits_for, IcebergParams};
 use atp_hash::{FxHashMap, PageHasher};
 use atp_types::{PhysPage, VirtPage};
+use std::collections::hash_map::Entry;
 
-/// Where a placed page lives, for bookkeeping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Pos {
-    bin: u64,
-    /// Slot within the bin: `< front_cap` is front tier, else back tier.
-    slot: u32,
-    /// 0, 1, or 2: which hash function chose the bin.
-    hash_index: u8,
+/// Where a placed page lives, packed into one word: the bin in the high 32
+/// bits and the page's slot code in the low 32. The code names both the
+/// hash function that chose the bin and the slot within it.
+#[inline]
+fn pack(bin: u64, code: SlotCode) -> u64 {
+    bin << 32 | code.0 as u64
 }
 
 /// Iceberg\[2\] allocator.
 #[derive(Clone, Debug)]
 pub struct IcebergAlloc {
     hasher: PageHasher,
-    front_free: Vec<Vec<u32>>,
-    back_free: Vec<Vec<u32>>,
-    placed: FxHashMap<VirtPage, Pos>,
+    front_free: SlotStacks,
+    back_free: SlotStacks,
+    /// Placed page → [`pack`]ed `(bin, code)`.
+    placed: FxHashMap<VirtPage, u64>,
     front_cap: u32,
     back_cap: u32,
     bits: u32,
@@ -54,18 +55,21 @@ impl IcebergAlloc {
     /// Creates the allocator with explicit geometry.
     ///
     /// # Panics
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if `bins` or a code does not
+    /// fit in 32 bits.
     pub fn with_geometry(bins: u64, front_cap: u32, back_cap: u32, seed: u64) -> Self {
         assert!(
             bins > 0 && front_cap > 0 && back_cap > 0,
             "bins, front_cap, back_cap must be nonzero"
         );
+        assert!(
+            bins <= 1 << 32 && (front_cap as u64 + 2 * back_cap as u64) < 1 << 32,
+            "bins and codes must fit in 32 bits"
+        );
         Self {
             hasher: PageHasher::new(seed, bins, 3),
-            front_free: (0..bins).map(|_| (0..front_cap).rev().collect()).collect(),
-            back_free: (0..bins)
-                .map(|_| (front_cap..front_cap + back_cap).rev().collect())
-                .collect(),
+            front_free: SlotStacks::full(bins, 0, front_cap),
+            back_free: SlotStacks::full(bins, front_cap, back_cap),
             placed: FxHashMap::default(),
             front_cap,
             back_cap,
@@ -76,7 +80,7 @@ impl IcebergAlloc {
 
     /// Number of bins `n`.
     pub fn bins(&self) -> u64 {
-        self.front_free.len() as u64
+        self.front_free.bins()
     }
 
     /// Front-tier capacity per bin.
@@ -91,12 +95,12 @@ impl IcebergAlloc {
 
     /// Back-tier load of bin `b`.
     pub fn back_load(&self, b: u64) -> u32 {
-        self.back_cap - self.back_free[b as usize].len() as u32
+        self.back_cap - self.back_free.len(b)
     }
 
     /// Front-tier load of bin `b`.
     pub fn front_load(&self, b: u64) -> u32 {
-        self.front_cap - self.front_free[b as usize].len() as u32
+        self.front_cap - self.front_free.len(b)
     }
 
     /// Lifetime count of placements that spilled to the back tier; the
@@ -115,77 +119,90 @@ impl IcebergAlloc {
         PhysPage(bin * self.bin_stride() + slot as u64)
     }
 
-    fn code_for(&self, pos: Pos) -> SlotCode {
-        match pos.hash_index {
-            0 => SlotCode(1 + pos.slot),
-            1 => SlotCode(1 + self.front_cap + (pos.slot - self.front_cap)),
-            2 => SlotCode(1 + self.front_cap + self.back_cap + (pos.slot - self.front_cap)),
-            _ => unreachable!(),
+    /// The slot within its bin that nonzero code `code` names: front codes
+    /// and `h₂` back codes map straight to `code − 1`, `h₃` back codes sit
+    /// `back_cap` further up the code space.
+    #[inline]
+    fn slot_of(&self, code: SlotCode) -> u32 {
+        let c = code.0 - 1;
+        if c < self.front_cap + self.back_cap {
+            c
+        } else {
+            c - self.back_cap
         }
+    }
+
+    /// The `(bin, slot)` a [`pack`]ed placement names.
+    #[inline]
+    fn unpack(&self, packed: u64) -> (u64, u32) {
+        (packed >> 32, self.slot_of(SlotCode(packed as u32)))
+    }
+
+    /// The frame a [`pack`]ed placement names.
+    #[inline]
+    fn unpack_frame(&self, packed: u64) -> PhysPage {
+        let (bin, slot) = self.unpack(packed);
+        self.frame(bin, slot)
     }
 }
 
 impl RamAllocator for IcebergAlloc {
     fn place(&mut self, v: VirtPage) -> Result<Placement, PagingFailure> {
-        assert!(!self.placed.contains_key(&v), "page {v:?} double-placed");
-        // Front attempt via h1.
-        let b1 = self.hasher.bin(v, 0);
-        if let Some(slot) = self.front_free[b1 as usize].pop() {
-            let pos = Pos {
-                bin: b1,
-                slot,
-                hash_index: 0,
-            };
-            self.placed.insert(v, pos);
-            return Ok(Placement {
-                frame: self.frame(b1, slot),
-                code: self.code_for(pos),
-            });
-        }
-        // Greedy[2] over back tiers of h2, h3.
-        let b2 = self.hasher.bin(v, 1);
-        let b3 = self.hasher.bin(v, 2);
-        let (first, first_idx, second, second_idx) = if self.back_load(b2) <= self.back_load(b3) {
-            (b2, 1u8, b3, 2u8)
-        } else {
-            (b3, 2u8, b2, 1u8)
+        let Entry::Vacant(entry) = self.placed.entry(v) else {
+            panic!("page {v:?} double-placed");
         };
-        for (bin, idx) in [(first, first_idx), (second, second_idx)] {
-            if let Some(slot) = self.back_free[bin as usize].pop() {
-                self.back_placements += 1;
-                let pos = Pos {
-                    bin,
-                    slot,
-                    hash_index: idx,
-                };
-                self.placed.insert(v, pos);
-                return Ok(Placement {
-                    frame: self.frame(bin, slot),
-                    code: self.code_for(pos),
-                });
-            }
-        }
-        Err(PagingFailure { page: v })
+        // Front attempt via h1: code = 1 + slot.
+        let b1 = self.hasher.bin(v, 0);
+        let (bin, slot, code) = if let Some(slot) = self.front_free.pop(b1) {
+            (b1, slot, SlotCode(1 + slot))
+        } else {
+            // Greedy[2] over back tiers of h2, h3: the less loaded (more
+            // free slots) first, ties toward h2. A back slot `s ≥ front_cap`
+            // of h2's bin has code 1 + s; of h3's, 1 + back_cap + s.
+            let b2 = self.hasher.bin(v, 1);
+            let b3 = self.hasher.bin(v, 2);
+            let (l2, l3) = (self.back_free.len(b2), self.back_free.len(b3));
+            let order = if l2 >= l3 {
+                [(b2, 0), (b3, self.back_cap)]
+            } else {
+                [(b3, self.back_cap), (b2, 0)]
+            };
+            let back = &mut self.back_free;
+            let Some((bin, slot, code)) = order.into_iter().find_map(|(bin, shift)| {
+                let slot = back.pop(bin)?;
+                Some((bin, slot, SlotCode(1 + shift + slot)))
+            }) else {
+                return Err(PagingFailure { page: v });
+            };
+            self.back_placements += 1;
+            (bin, slot, code)
+        };
+        entry.insert(pack(bin, code));
+        Ok(Placement {
+            frame: self.frame(bin, slot),
+            code,
+        })
     }
 
     fn free(&mut self, v: VirtPage) -> Option<PhysPage> {
-        let pos = self.placed.remove(&v)?;
-        if pos.slot < self.front_cap {
-            self.front_free[pos.bin as usize].push(pos.slot);
+        let packed = self.placed.remove(&v)?;
+        let (bin, slot) = self.unpack(packed);
+        if slot < self.front_cap {
+            self.front_free.push(bin, slot);
         } else {
-            self.back_free[pos.bin as usize].push(pos.slot);
+            self.back_free.push(bin, slot);
         }
-        Some(self.frame(pos.bin, pos.slot))
+        Some(self.frame(bin, slot))
     }
 
     fn frame_of(&self, v: VirtPage) -> Option<PhysPage> {
-        self.placed.get(&v).map(|p| self.frame(p.bin, p.slot))
+        self.placed.get(&v).map(|&p| self.unpack_frame(p))
     }
 
     fn code_of(&self, v: VirtPage) -> SlotCode {
         self.placed
             .get(&v)
-            .map_or(SlotCode::ABSENT, |&p| self.code_for(p))
+            .map_or(SlotCode::ABSENT, |&p| SlotCode(p as u32))
     }
 
     fn decode(&self, v: VirtPage, code: SlotCode) -> Option<PhysPage> {
@@ -223,18 +240,87 @@ impl RamAllocator for IcebergAlloc {
     }
 
     fn iter_placed(&self) -> Box<dyn Iterator<Item = (VirtPage, PhysPage)> + '_> {
-        Box::new(
-            self.placed
-                .iter()
-                .map(|(&v, &p)| (v, self.frame(p.bin, p.slot))),
-        )
+        Box::new(self.placed.iter().map(|(&v, &p)| (v, self.unpack_frame(p))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::contract::churn_contract;
+    use crate::alloc::contract::{churn_contract, churn_matches_model, vec_stacks, VecModel};
+
+    /// The pre-[`SlotStacks`] layout: one free list per bin and tier.
+    struct Model {
+        hasher: PageHasher,
+        front: Vec<Vec<u32>>,
+        back: Vec<Vec<u32>>,
+        placed: FxHashMap<VirtPage, (u64, u32)>,
+        front_cap: u32,
+        back_cap: u32,
+    }
+
+    impl Model {
+        fn frame(&self, bin: u64, slot: u32) -> PhysPage {
+            PhysPage(bin * (self.front_cap + self.back_cap) as u64 + slot as u64)
+        }
+    }
+
+    impl VecModel for Model {
+        fn place(&mut self, v: VirtPage) -> Option<Placement> {
+            let (f, b) = (self.front_cap, self.back_cap);
+            let b1 = self.hasher.bin(v, 0);
+            let (bin, slot, code) = if let Some(slot) = self.front[b1 as usize].pop() {
+                (b1, slot, 1 + slot)
+            } else {
+                let (b2, b3) = (self.hasher.bin(v, 1), self.hasher.bin(v, 2));
+                let load = |bin: u64| b - self.back[bin as usize].len() as u32;
+                let order = if load(b2) <= load(b3) {
+                    [(b2, 1), (b3, 2)]
+                } else {
+                    [(b3, 2), (b2, 1)]
+                };
+                let mut chosen = None;
+                for (bin, idx) in order {
+                    if let Some(slot) = self.back[bin as usize].pop() {
+                        chosen = Some((bin, slot, 1 + f + (idx - 1) * b + (slot - f)));
+                        break;
+                    }
+                }
+                chosen?
+            };
+            self.placed.insert(v, (bin, slot));
+            Some(Placement {
+                frame: self.frame(bin, slot),
+                code: SlotCode(code),
+            })
+        }
+
+        fn free(&mut self, v: VirtPage) -> Option<PhysPage> {
+            let (bin, slot) = self.placed.remove(&v)?;
+            let tier = if slot < self.front_cap {
+                &mut self.front
+            } else {
+                &mut self.back
+            };
+            tier[bin as usize].push(slot);
+            Some(self.frame(bin, slot))
+        }
+    }
+
+    #[test]
+    fn slot_stacks_match_vec_free_lists() {
+        let (bins, front_cap, back_cap, seed) = (16, 3, 2, 21);
+        let model = Model {
+            hasher: PageHasher::new(seed, bins, 3),
+            front: vec_stacks(bins, 0, front_cap),
+            back: vec_stacks(bins, front_cap, back_cap),
+            placed: FxHashMap::default(),
+            front_cap,
+            back_cap,
+        };
+        let alloc = IcebergAlloc::with_geometry(bins, front_cap, back_cap, seed);
+        churn_matches_model(alloc, model, 1000, 20_000);
+    }
 
     #[test]
     fn contract_holds() {

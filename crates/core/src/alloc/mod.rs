@@ -22,6 +22,7 @@ mod fully_assoc;
 mod greedy;
 mod iceberg;
 mod one_choice;
+mod slots;
 
 pub use fully_assoc::FullyAssociativeAlloc;
 pub use greedy::GreedyAlloc;
@@ -154,5 +155,58 @@ pub(crate) mod contract {
             }
             assert_eq!(alloc.resident() as usize, placed.len());
         }
+    }
+
+    /// A reference allocator on the layout the bucketed allocators used
+    /// before [`super::slots::SlotStacks`]: one `Vec<u32>` free list per
+    /// bin (and tier), filled with `(base..base + cap).rev()`.
+    pub(crate) trait VecModel {
+        fn place(&mut self, v: VirtPage) -> Option<Placement>;
+        fn free(&mut self, v: VirtPage) -> Option<PhysPage>;
+    }
+
+    /// `bins` full `Vec<u32>` free lists holding `base .. base + cap`.
+    pub(crate) fn vec_stacks(bins: u64, base: u32, cap: u32) -> Vec<Vec<u32>> {
+        (0..bins)
+            .map(|_| (base..base + cap).rev().collect())
+            .collect()
+    }
+
+    /// Drives `alloc` and `model` through the same place/free churn and
+    /// asserts they hand out the same `(frame, code)` sequence and free
+    /// the same frames, so the flat slot stacks keep every placement.
+    pub(crate) fn churn_matches_model<A: RamAllocator, M: VecModel>(
+        mut alloc: A,
+        mut model: M,
+        universe: u64,
+        ops: u64,
+    ) {
+        let mut rng = CounterRng::new(0x5EED, 3);
+        let mut active: Vec<u64> = Vec::new();
+        let (mut placed, mut failed) = (0u64, 0u64);
+        for step in 0..ops {
+            if active.is_empty() || rng.next_bool(0.55) {
+                let mut v = rng.next_below(universe);
+                while active.contains(&v) {
+                    v = rng.next_below(universe);
+                }
+                let got = alloc.place(VirtPage(v)).ok();
+                assert_eq!(got, model.place(VirtPage(v)), "place {v} at step {step}");
+                if got.is_some() {
+                    active.push(v);
+                    placed += 1;
+                } else {
+                    failed += 1;
+                }
+            } else {
+                let v = active.swap_remove(rng.next_below(active.len() as u64) as usize);
+                let got = alloc.free(VirtPage(v));
+                assert_eq!(got, model.free(VirtPage(v)), "free {v} at step {step}");
+            }
+        }
+        assert!(
+            placed > 0 && failed > 0,
+            "churn must fill bins up to failure"
+        );
     }
 }

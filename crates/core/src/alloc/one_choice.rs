@@ -7,18 +7,20 @@
 //! third case), so paging failures are whp absent while codes shrink from
 //! `log P` to `Θ(log log P)` bits.
 
+use super::slots::SlotStacks;
 use super::{PagingFailure, Placement, RamAllocator};
 use crate::encoding::SlotCode;
 use crate::params::{bits_for, OneChoiceParams};
 use atp_hash::{FxHashMap, PageHasher};
 use atp_types::{PhysPage, VirtPage};
+use std::collections::hash_map::Entry;
 
 /// One-choice bucketed allocator.
 #[derive(Clone, Debug)]
 pub struct OneChoiceAlloc {
     hasher: PageHasher,
     /// Per-bin stack of free slot indices (each `< bin_size`).
-    free_slots: Vec<Vec<u32>>,
+    free_slots: SlotStacks,
     placed: FxHashMap<VirtPage, (u64, u32)>,
     bin_size: u32,
     bits: u32,
@@ -41,7 +43,7 @@ impl OneChoiceAlloc {
         );
         Self {
             hasher: PageHasher::new(seed, bins, 1),
-            free_slots: (0..bins).map(|_| (0..bin_size).rev().collect()).collect(),
+            free_slots: SlotStacks::full(bins, 0, bin_size),
             placed: FxHashMap::default(),
             bin_size,
             bits: bits_for(bin_size as u64 + 1),
@@ -50,7 +52,7 @@ impl OneChoiceAlloc {
 
     /// Number of bins `n`.
     pub fn bins(&self) -> u64 {
-        self.free_slots.len() as u64
+        self.free_slots.bins()
     }
 
     /// Bin size `B`.
@@ -60,7 +62,7 @@ impl OneChoiceAlloc {
 
     /// Load (occupied slots) of bin `b`.
     pub fn bin_load(&self, b: u64) -> u32 {
-        self.bin_size - self.free_slots[b as usize].len() as u32
+        self.bin_size - self.free_slots.len(b)
     }
 
     #[inline]
@@ -71,11 +73,13 @@ impl OneChoiceAlloc {
 
 impl RamAllocator for OneChoiceAlloc {
     fn place(&mut self, v: VirtPage) -> Result<Placement, PagingFailure> {
-        assert!(!self.placed.contains_key(&v), "page {v:?} double-placed");
+        let Entry::Vacant(entry) = self.placed.entry(v) else {
+            panic!("page {v:?} double-placed");
+        };
         let bin = self.hasher.bin(v, 0);
-        match self.free_slots[bin as usize].pop() {
+        match self.free_slots.pop(bin) {
             Some(slot) => {
-                self.placed.insert(v, (bin, slot));
+                entry.insert((bin, slot));
                 Ok(Placement {
                     frame: self.frame(bin, slot),
                     code: SlotCode(slot + 1),
@@ -87,7 +91,7 @@ impl RamAllocator for OneChoiceAlloc {
 
     fn free(&mut self, v: VirtPage) -> Option<PhysPage> {
         let (bin, slot) = self.placed.remove(&v)?;
-        self.free_slots[bin as usize].push(slot);
+        self.free_slots.push(bin, slot);
         Some(self.frame(bin, slot))
     }
 
@@ -136,7 +140,46 @@ impl RamAllocator for OneChoiceAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::contract::churn_contract;
+    use crate::alloc::contract::{churn_contract, churn_matches_model, vec_stacks, VecModel};
+
+    /// The pre-[`SlotStacks`] layout: one free list per bin.
+    struct Model {
+        hasher: PageHasher,
+        free: Vec<Vec<u32>>,
+        placed: FxHashMap<VirtPage, (u64, u32)>,
+        bin_size: u32,
+    }
+
+    impl VecModel for Model {
+        fn place(&mut self, v: VirtPage) -> Option<Placement> {
+            let bin = self.hasher.bin(v, 0);
+            let slot = self.free[bin as usize].pop()?;
+            self.placed.insert(v, (bin, slot));
+            Some(Placement {
+                frame: PhysPage(bin * self.bin_size as u64 + slot as u64),
+                code: SlotCode(slot + 1),
+            })
+        }
+
+        fn free(&mut self, v: VirtPage) -> Option<PhysPage> {
+            let (bin, slot) = self.placed.remove(&v)?;
+            self.free[bin as usize].push(slot);
+            Some(PhysPage(bin * self.bin_size as u64 + slot as u64))
+        }
+    }
+
+    #[test]
+    fn slot_stacks_match_vec_free_lists() {
+        let (bins, bin_size, seed) = (16, 6, 21);
+        let model = Model {
+            hasher: PageHasher::new(seed, bins, 1),
+            free: vec_stacks(bins, 0, bin_size),
+            placed: FxHashMap::default(),
+            bin_size,
+        };
+        let alloc = OneChoiceAlloc::with_geometry(bins, bin_size, seed);
+        churn_matches_model(alloc, model, 1000, 20_000);
+    }
 
     #[test]
     fn contract_holds() {

@@ -24,11 +24,43 @@ impl SlotCode {
     }
 }
 
+/// Words a [`TlbValue`] keeps inline before spilling to the heap.
+const INLINE_WORDS: usize = 2;
+
+/// The packed words of a [`TlbValue`]: inline up to 128 bits, so cloning,
+/// creating and dropping a hardware-width value never calls the allocator.
+/// Only wider values (the sparse manager's dense shadow) live on the heap.
+/// The variant is a function of `count · bits` alone, so two values of the
+/// same shape always share a layout and the derived equality is exact.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
+
+impl Words {
+    #[inline]
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    #[inline]
+    fn as_mut_slice(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+}
+
 /// A `w`-bit TLB value: `hmax` codes of `bits` bits, little-endian packed
 /// into 64-bit words.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TlbValue {
-    words: Vec<u64>,
+    words: Words,
     bits: u32,
     count: u32,
 }
@@ -41,9 +73,13 @@ impl TlbValue {
     pub fn new(count: u32, bits: u32) -> Self {
         assert!((1..=32).contains(&bits), "code width must be 1..=32 bits");
         assert!(count > 0, "value must hold at least one code");
-        let total_bits = count as usize * bits as usize;
+        let words = (count as usize * bits as usize).div_ceil(64);
         Self {
-            words: vec![0; total_bits.div_ceil(64)],
+            words: if words <= INLINE_WORDS {
+                Words::Inline([0; INLINE_WORDS])
+            } else {
+                Words::Heap(vec![0; words].into_boxed_slice())
+            },
             bits,
             count,
         }
@@ -80,11 +116,12 @@ impl TlbValue {
         } else {
             (1u64 << self.bits) - 1
         };
-        let lo = self.words[word] >> off;
+        let words = self.words.as_slice();
+        let lo = words[word] >> off;
         let val = if off + self.bits <= 64 {
             lo & mask
         } else {
-            let hi = self.words[word + 1] << (64 - off);
+            let hi = words[word + 1] << (64 - off);
             (lo | hi) & mask
         };
         SlotCode(val as u32)
@@ -109,19 +146,20 @@ impl TlbValue {
         );
         let bit = i as usize * self.bits as usize;
         let (word, off) = (bit / 64, (bit % 64) as u32);
-        self.words[word] &= !(mask << off);
-        self.words[word] |= (code.0 as u64) << off;
+        let words = self.words.as_mut_slice();
+        words[word] &= !(mask << off);
+        words[word] |= (code.0 as u64) << off;
         if off + self.bits > 64 {
             let spill = off + self.bits - 64;
             let hi_mask = (1u64 << spill) - 1;
-            self.words[word + 1] &= !hi_mask;
-            self.words[word + 1] |= (code.0 as u64) >> (64 - off);
+            words[word + 1] &= !hi_mask;
+            words[word + 1] |= (code.0 as u64) >> (64 - off);
         }
     }
 
     /// Whether every code is absent (the huge page has no resident pages).
     pub fn is_all_absent(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words.as_slice().iter().all(|&w| w == 0)
     }
 
     /// Number of resident (nonzero) codes.
@@ -222,5 +260,60 @@ mod tests {
     fn out_of_range_index_rejected() {
         let v = TlbValue::new(4, 3);
         v.get(4);
+    }
+
+    fn inline(v: &TlbValue) -> bool {
+        matches!(v.words, Words::Inline(_))
+    }
+
+    #[test]
+    fn layout_switches_to_heap_past_128_bits() {
+        // 63 × 2 = 126, 64 × 2 = 128 and 65 × 2 = 130 total bits.
+        for (count, want_inline) in [(63, true), (64, true), (65, false)] {
+            let mut v = TlbValue::new(count, 2);
+            assert_eq!(inline(&v), want_inline, "count={count}");
+            assert_eq!(v.size_bits(), count * 2);
+            // The last code sits at the very top of the value.
+            v.set(count - 1, SlotCode(3));
+            v.set(0, SlotCode(1));
+            assert_eq!(v.get(count - 1).0, 3);
+            assert_eq!(v.get(0).0, 1);
+            assert_eq!(v.resident_count(), 2);
+            v.set(count - 1, SlotCode::ABSENT);
+            v.set(0, SlotCode::ABSENT);
+            assert!(v.is_all_absent(), "count={count}");
+        }
+    }
+
+    #[test]
+    fn inline_code_straddles_words_zero_and_one() {
+        // 9-bit codes × 14 = 126 bits, inline; code 7 spans bits 63..72.
+        let mut v = TlbValue::new(14, 9);
+        assert!(inline(&v));
+        v.set(7, SlotCode(0b1_0110_1101));
+        v.set(6, SlotCode(0x1FF));
+        v.set(8, SlotCode(0x1FF));
+        assert_eq!(v.get(7).0, 0b1_0110_1101);
+        v.set(7, SlotCode(0));
+        assert_eq!((v.get(6).0, v.get(7).0, v.get(8).0), (0x1FF, 0, 0x1FF));
+    }
+
+    #[test]
+    fn equality_and_clone_in_both_layouts() {
+        for count in [64u32, 65] {
+            let mut a = TlbValue::new(count, 2);
+            a.set(count - 1, SlotCode(2));
+            let mut b = a.clone();
+            assert_eq!(inline(&a), inline(&b));
+            assert_eq!(a, b, "count={count}");
+            b.set(count - 1, SlotCode(1));
+            assert_ne!(a, b, "clone is a deep copy (count={count})");
+            assert_eq!(a.get(count - 1).0, 2);
+            b.set(count - 1, SlotCode(2));
+            assert_eq!(a, b);
+        }
+        // Different shapes never compare equal, inline or not.
+        assert_ne!(TlbValue::new(64, 2), TlbValue::new(65, 2));
+        assert_ne!(TlbValue::new(32, 4), TlbValue::new(64, 2));
     }
 }

@@ -15,11 +15,12 @@
 //! The scheme is oblivious to the replacement policies, and they to it —
 //! the separation the paper's framework requires.
 
-use crate::alloc::{PagingFailure, RamAllocator};
-use crate::encoding::TlbValue;
+use crate::alloc::{PagingFailure, Placement, RamAllocator};
+use crate::encoding::{SlotCode, TlbValue};
 use crate::params::hmax_for;
 use atp_hash::{FxHashMap, FxHashSet};
 use atp_types::{HugePageGeometry, PhysPage, VirtHugePage, VirtPage};
+use std::collections::hash_map::Entry;
 
 /// Lifetime statistics of a decoupling scheme.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -43,7 +44,7 @@ pub struct SchemeStats {
 /// assert_eq!(scheme.hmax(), 8); // 5-bit codes → 8 pages per TLB value
 ///
 /// let v = VirtPage(19);
-/// let frame = scheme.ram_insert(v).unwrap();
+/// let frame = scheme.ram_insert(v).unwrap().frame;
 /// let psi = scheme.psi(scheme.geometry().huge_of(v));
 /// assert_eq!(scheme.decode(v, &psi), Some(frame)); // eq. (4)
 /// scheme.ram_evict(v);
@@ -146,12 +147,14 @@ impl<A: RamAllocator> DecouplingScheme<A> {
     /// Handles the RAM-replacement policy adding `v` to the active set.
     ///
     /// On success, the shadow ψ-value of `v`'s huge page is updated and the
-    /// assigned frame returned. On failure, `v` joins `F` (until evicted)
-    /// and the caller must service accesses to it out-of-band.
+    /// placement returned: the frame `φ(v)` and the code now in ψ, so a
+    /// caller patching TLB-resident values need not ask the allocator
+    /// again. On failure, `v` joins `F` (until evicted) and the caller must
+    /// service accesses to it out-of-band.
     ///
     /// Returns an error if `v` is already active (policy bug) — failed pages
     /// count as active.
-    pub fn ram_insert(&mut self, v: VirtPage) -> Result<PhysPage, PagingFailure> {
+    pub fn ram_insert(&mut self, v: VirtPage) -> Result<Placement, PagingFailure> {
         assert!(
             !self.failed.contains(&v),
             "page {v:?} inserted while failed"
@@ -166,7 +169,7 @@ impl<A: RamAllocator> DecouplingScheme<A> {
                     .entry(u)
                     .or_insert_with(|| TlbValue::new(hmax, bits))
                     .set(idx, pl.code);
-                Ok(pl.frame)
+                Ok(pl)
             }
             Err(f) => {
                 self.stats.failures += 1;
@@ -186,10 +189,10 @@ impl<A: RamAllocator> DecouplingScheme<A> {
         let frame = self.alloc.free(v)?;
         let u = self.geom.huge_of(v);
         let idx = self.geom.index_within(v) as u32;
-        if let Some(value) = self.shadow.get_mut(&u) {
-            value.set(idx, crate::encoding::SlotCode::ABSENT);
-            if value.is_all_absent() {
-                self.shadow.remove(&u);
+        if let Entry::Occupied(mut value) = self.shadow.entry(u) {
+            value.get_mut().set(idx, SlotCode::ABSENT);
+            if value.get().is_all_absent() {
+                value.remove();
             }
         }
         Some(frame)
@@ -218,9 +221,9 @@ impl<A: RamAllocator> DecouplingScheme<A> {
         self.alloc.frame_of(v)
     }
 
-    /// Current slot code of `v` ([`crate::encoding::SlotCode::ABSENT`] if
-    /// not placed), for incremental TLB-value maintenance.
-    pub fn code_of(&self, v: VirtPage) -> crate::encoding::SlotCode {
+    /// Current slot code of `v` ([`SlotCode::ABSENT`] if not placed), for
+    /// incremental TLB-value maintenance.
+    pub fn code_of(&self, v: VirtPage) -> SlotCode {
         self.alloc.code_of(v)
     }
 
@@ -289,7 +292,7 @@ mod tests {
     fn insert_decode_evict_roundtrip() {
         let mut s = scheme_iceberg();
         let v = VirtPage(19);
-        let frame = s.ram_insert(v).unwrap();
+        let frame = s.ram_insert(v).unwrap().frame;
         let u = s.geometry().huge_of(v);
         let psi = s.psi(u);
         assert_eq!(s.decode(v, &psi), Some(frame));
@@ -384,7 +387,7 @@ mod tests {
         let mut s = scheme_iceberg();
         let g = s.geometry();
         let v = VirtPage(42);
-        let frame = s.ram_insert(v).unwrap();
+        let frame = s.ram_insert(v).unwrap().frame;
         let snapshot = s.psi(g.huge_of(v));
         // Churn elsewhere.
         for x in 200..260u64 {

@@ -22,13 +22,14 @@
 //! (hardware order), page-granular residency with free in-place TLB value
 //! maintenance, then a ψ(u) fill on the probe miss.
 
+use crate::classic::check_slots;
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
 use crate::pipeline::{Pipeline, Stages, TlbProbe};
 use crate::traits::AccessReport;
 use atp_core::{DecouplingScheme, RamAllocator, SlotCode, TlbValue};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
 use atp_tlb::Tlb;
-use atp_types::VirtPage;
+use atp_types::{ParamError, VirtPage};
 
 /// Configuration for [`DecoupledMm`].
 #[derive(Clone, Copy, Debug)]
@@ -47,6 +48,18 @@ pub struct DecoupledConfig {
     pub seed: u64,
 }
 
+impl DecoupledConfig {
+    /// Checks the configuration before anything is allocated.
+    ///
+    /// # Errors
+    /// `tlb_entries` and `resident_pages` must be nonzero and within 32-bit
+    /// slot ids.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        check_slots("tlb_entries", self.tlb_entries)?;
+        check_slots("resident_pages", self.resident_pages)
+    }
+}
+
 /// Stage state of the decoupled manager `Z`.
 #[derive(Debug)]
 pub struct DecoupledStages<A: RamAllocator> {
@@ -59,9 +72,13 @@ impl<A: RamAllocator> DecoupledStages<A> {
     /// Builds the stages from an allocator and configuration.
     ///
     /// # Panics
-    /// Panics if `resident_pages` exceeds the allocator's physical memory
-    /// (the resource-augmentation contract `m ≤ (1−δ)P` would be violated).
+    /// Panics if [`DecoupledConfig::validate`] rejects `cfg`, or if
+    /// `resident_pages` exceeds the allocator's physical memory (the
+    /// resource-augmentation contract `m ≤ (1−δ)P` would be violated).
     pub fn new(alloc: A, cfg: DecoupledConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid decoupled config: {e}");
+        }
         assert!(
             cfg.resident_pages <= alloc.phys_pages(),
             "resident budget m={} exceeds P={}",
@@ -131,10 +148,9 @@ impl<A: RamAllocator> Stages for DecoupledStages<A> {
                     self.tlb.update(eu, |val| val.set(idx, SlotCode::ABSENT));
                 }
                 match self.scheme.ram_insert(addr) {
-                    Ok(_frame) => {
+                    Ok(placed) => {
                         let idx = self.scheme.index_within(addr);
-                        let code = self.scheme.code_of(addr);
-                        self.tlb.update(u, |val| val.set(idx, code));
+                        self.tlb.update(u, |val| val.set(idx, placed.code));
                     }
                     Err(_) => {
                         // Placement failed: the 1 IO above covers the

@@ -11,12 +11,13 @@
 //! cache's own fill); `Y` bypasses the TLB and runs only the residency
 //! stage.
 
+use crate::classic::check_slots;
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
 use crate::pipeline::{Pipeline, Stages, TlbProbe, PREPARE_LANES};
 use crate::traits::AccessReport;
 use atp_hash::{fx_hash, NO_SLOT};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
-use atp_types::{HugePageGeometry, VirtPage};
+use atp_types::{HugePageGeometry, ParamError, VirtPage};
 
 /// Wide-probes `sim` for up to [`PREPARE_LANES`] keys and applies the
 /// leading run that resolved as hits, in access order. Shared by the
@@ -51,6 +52,16 @@ pub struct VirtualOnlyStages {
 }
 
 impl VirtualOnlyStages {
+    /// Checks `X`'s parameters before anything is allocated.
+    ///
+    /// # Errors
+    /// `hmax` must be a power of two, and `tlb_entries` nonzero and within
+    /// 32-bit slot ids.
+    pub fn validate(hmax: u64, tlb_entries: u64) -> Result<(), ParamError> {
+        HugePageGeometry::new(hmax)?;
+        check_slots("tlb_entries", tlb_entries)
+    }
+
     /// Builds the stages.
     pub fn new(hmax: u64, tlb_entries: u64, policy: PolicyKind, seed: u64) -> Self {
         let cap = tlb_entries as usize;
@@ -131,6 +142,14 @@ pub struct PagingOnlyStages {
 }
 
 impl PagingOnlyStages {
+    /// Checks `Y`'s resident budget before anything is allocated.
+    ///
+    /// # Errors
+    /// `resident_pages` must be nonzero and within 32-bit slot ids.
+    pub fn validate(resident_pages: u64) -> Result<(), ParamError> {
+        check_slots("resident_pages", resident_pages)
+    }
+
     /// Builds the stages.
     pub fn new(resident_pages: u64, policy: PolicyKind, seed: u64) -> Self {
         let cap = resident_pages as usize;

@@ -22,13 +22,14 @@
 //! a decoding miss and re-encodes for free (this is the only manager whose
 //! residency stage consults the TLB probe).
 
+use crate::classic::check_slots;
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
 use crate::pipeline::{Pipeline, Stages, TlbProbe};
 use crate::traits::AccessReport;
 use atp_core::{DecouplingScheme, RamAllocator, SlotCode, SparseValue};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
 use atp_tlb::Tlb;
-use atp_types::VirtPage;
+use atp_types::{HugePageGeometry, ParamError, VirtPage};
 
 /// Configuration for [`SparseDecoupledMm`].
 #[derive(Clone, Copy, Debug)]
@@ -49,6 +50,28 @@ pub struct SparseConfig {
     pub seed: u64,
 }
 
+impl SparseConfig {
+    /// Checks the configuration before anything is allocated.
+    ///
+    /// # Errors
+    /// `coverage` must be a power of two small enough that its dense
+    /// shadow of codes (up to 32 bits each) has a 32-bit bit count, and
+    /// `tlb_entries` and `resident_pages` must be nonzero and within
+    /// 32-bit slot ids.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        HugePageGeometry::new(self.coverage)?;
+        if self.coverage > u64::from(u32::MAX / 32) {
+            return Err(ParamError::OutOfRange {
+                name: "coverage",
+                value: self.coverage,
+                constraint: "must be at most 2^26 (dense shadow bit count fits in 32 bits)",
+            });
+        }
+        check_slots("tlb_entries", self.tlb_entries)?;
+        check_slots("resident_pages", self.resident_pages)
+    }
+}
+
 /// Stage state of the sparse-encoding decoupled manager.
 #[derive(Debug)]
 pub struct SparseStages<A: RamAllocator> {
@@ -63,9 +86,13 @@ impl<A: RamAllocator> SparseStages<A> {
     /// Builds the stages.
     ///
     /// # Panics
-    /// Panics if `coverage` is not a power of two, the resident budget
-    /// exceeds the allocator's frames, or one pair doesn't fit in `w` bits.
+    /// Panics if [`SparseConfig::validate`] rejects `cfg`, the resident
+    /// budget exceeds the allocator's frames, or one pair doesn't fit in
+    /// `w` bits.
     pub fn new(alloc: A, cfg: SparseConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid sparse config: {e}");
+        }
         assert!(
             cfg.resident_pages <= alloc.phys_pages(),
             "resident budget exceeds P"
@@ -170,10 +197,9 @@ impl<A: RamAllocator> Stages for SparseStages<A> {
                     });
                 }
                 match self.scheme.ram_insert(addr) {
-                    Ok(_) => {
-                        let code = self.scheme.code_of(addr);
+                    Ok(placed) => {
                         self.tlb.update(u, |v| {
-                            v.set(idx, code); // may drop: future decode miss
+                            v.set(idx, placed.code); // may drop: future decode miss
                         });
                     }
                     Err(_) => {
@@ -225,8 +251,9 @@ impl<A: RamAllocator> SparseDecoupledMm<A> {
     /// Builds the manager (unobserved).
     ///
     /// # Panics
-    /// Panics if `coverage` is not a power of two, the resident budget
-    /// exceeds the allocator's frames, or one pair doesn't fit in `w` bits.
+    /// Panics if [`SparseConfig::validate`] rejects `cfg`, the resident
+    /// budget exceeds the allocator's frames, or one pair doesn't fit in
+    /// `w` bits.
     pub fn new(alloc: A, cfg: SparseConfig) -> Self {
         Pipeline::from_stages(SparseStages::new(alloc, cfg))
     }
