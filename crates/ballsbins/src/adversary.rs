@@ -99,49 +99,6 @@ impl SlidingWindowAdversary {
     }
 }
 
-/// Re-insertion churn: like [`ChurnAdversary`] but draws new ids from a
-/// bounded universe, so deleted ids return later. Exercises the fact that
-/// re-inserted balls re-hash to the same choices but may land differently.
-#[derive(Clone, Debug)]
-pub struct ReinsertAdversary {
-    rng: CounterRng,
-    present: Vec<u64>,
-    absent: Vec<u64>,
-    m: usize,
-}
-
-impl ReinsertAdversary {
-    /// Creates the adversary over a universe of `universe` ids, maintaining
-    /// `m <= universe` balls.
-    ///
-    /// # Panics
-    /// Panics if `m > universe`.
-    pub fn new(seed: u64, universe: u64, m: usize) -> Self {
-        assert!(m as u64 <= universe, "m must be <= universe");
-        Self {
-            rng: CounterRng::new(seed, 0x8E1A),
-            present: Vec::with_capacity(m),
-            absent: (0..universe).collect(),
-            m,
-        }
-    }
-
-    /// Produces the next operation.
-    pub fn next_op(&mut self) -> Op {
-        if self.present.len() < self.m {
-            let idx = self.rng.next_below(self.absent.len() as u64) as usize;
-            let id = self.absent.swap_remove(idx);
-            self.present.push(id);
-            Op::Insert(id)
-        } else {
-            let idx = self.rng.next_below(self.present.len() as u64) as usize;
-            let id = self.present.swap_remove(idx);
-            self.absent.push(id);
-            Op::Delete(id)
-        }
-    }
-}
-
 /// Applies `ops` operations from an adversary closure to a game.
 pub fn drive(game: &mut Game, ops: u64, mut next: impl FnMut() -> Op) {
     for _ in 0..ops {
@@ -188,30 +145,6 @@ mod tests {
                 Op::Delete(2),
             ]
         );
-    }
-
-    #[test]
-    fn reinsert_stays_within_universe() {
-        let mut adv = ReinsertAdversary::new(3, 50, 20);
-        let mut game = Game::new(4, 8, Rule::Greedy { d: 2 });
-        for _ in 0..2000 {
-            match adv.next_op() {
-                Op::Insert(id) => {
-                    assert!(id < 50);
-                    game.insert(id);
-                }
-                Op::Delete(id) => {
-                    game.remove(id).expect("present");
-                }
-            }
-        }
-        assert!(game.len() <= 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "m must be <= universe")]
-    fn reinsert_rejects_oversized_m() {
-        ReinsertAdversary::new(0, 10, 11);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`Rule::Greedy`] — Greedy\[d\]: `d` choices, least-loaded wins.
 //!   Max load `O(λ) + log log n + O(1)` (eq. 6) — the `O(λ)` (rather than
 //!   `(1+o(1))λ`) term is exactly why the paper needs Iceberg.
-//! * [`Rule::Iceberg`] — Iceberg\[2\] ([34], Theorem 2): three hash
+//! * [`Rule::Iceberg`] — Iceberg\[2\] (\[34\], Theorem 2): three hash
 //!   functions; a ball first tries its `h₁` bin, which accepts it as long as
 //!   its *front* load is below a cap of `(1+o(1))λ`; overflow balls are
 //!   placed by Greedy\[2\] on `h₂,h₃` counting only *back* loads. Max load
@@ -34,9 +34,7 @@ pub mod adversary;
 pub mod game;
 pub mod rule;
 pub mod stats;
-pub mod tenancy;
 
 pub use game::{Game, Slot, Tier};
 pub use rule::Rule;
 pub use stats::{GameStats, LoadSnapshot};
-pub use tenancy::TenantGame;

@@ -13,7 +13,7 @@
 //!    (`ATP_CHECK_SEED=<seed> cargo test <property>`). Setting that
 //!    environment variable pins the runner to the failing case.
 //! 3. **Differential runner + oracles** ([`diff`], [`oracles`]) —
-//!    [`differential`] executes a system-under-test against a naive
+//!    [`differential()`] executes a system-under-test against a naive
 //!    reference model and reports the first diverging step; [`oracles`]
 //!    ships the reference models for every randomized subsystem
 //!    (balls-and-bins placement, fully-associative TLB, flat page table,

@@ -12,7 +12,10 @@ use atp_check::{check_config, ensure_eq, u64s, vecs, Config, Gen};
 use atp_core::{IcebergAlloc, IcebergParams};
 use atp_memmgmt::classic::{ClassicConfig, ClassicMm, ClassicStages};
 use atp_memmgmt::decoupled::{DecoupledConfig, DecoupledStages};
+use atp_memmgmt::hybrid::HybridStages;
 use atp_memmgmt::only::{PagingOnlyStages, VirtualOnlyStages};
+use atp_memmgmt::sparse::SparseStages;
+use atp_memmgmt::thp::ThpStages;
 use atp_memmgmt::{
     AccessReport, DecoupledMm, EvictionEvent, HybridMm, MemoryManager, PagingOnlyMm, Pipeline,
     Recorder, SimObserver, SparseConfig, SparseDecoupledMm, Stages, ThpConfig, ThpMm, TlbEvent,
@@ -57,23 +60,9 @@ fn managers(policy: PolicyKind) -> Vec<Box<dyn MemoryManager>> {
         )),
         Box::new(SparseDecoupledMm::new(
             IcebergAlloc::new(&params, 17),
-            SparseConfig {
-                tlb_value_bits: 64,
-                coverage: 64,
-                tlb_entries: TLB,
-                tlb_policy: policy,
-                resident_pages: params.max_resident,
-                ram_policy: policy,
-                seed: 17,
-            },
+            sparse_config(policy),
         )),
-        Box::new(ThpMm::new(ThpConfig {
-            huge_pages: 8,
-            phys_pages: PHYS,
-            tlb_entries: TLB,
-            policy,
-            seed: 19,
-        })),
+        Box::new(ThpMm::new(thp_config(policy))),
     ]
 }
 
@@ -205,9 +194,8 @@ fn diff_event_streams<S: Stages>(
 
 #[test]
 fn observer_event_streams_match_for_every_policy() {
-    // Every staged manager with a `retire_batch` fast path, under every
-    // policy: the batched run's typed event stream must be the
-    // sequential one, element for element.
+    // Every staged manager, under every policy: the batched run's typed
+    // event stream must be the sequential one, element for element.
     for policy in POLICIES {
         let name = format!("diff_batch_engine_events_{policy:?}").to_lowercase();
         let run_cfg = Config::for_property(&name).with_cases(2);
@@ -247,7 +235,24 @@ fn observer_event_streams_match_for_every_policy() {
                 pages,
                 "decoupled",
             )?;
-            diff_event_streams(&|| degenerate_z(policy), pages, "decoupled-degenerate")
+            diff_event_streams(&|| degenerate_z(policy), pages, "decoupled-degenerate")?;
+            diff_event_streams(
+                &|| {
+                    HybridStages::new(
+                        IcebergAlloc::new(&params, 13),
+                        z_config(policy, params.max_resident, 13),
+                        4,
+                    )
+                },
+                pages,
+                "hybrid",
+            )?;
+            diff_event_streams(
+                &|| SparseStages::new(IcebergAlloc::new(&params, 17), sparse_config(policy)),
+                pages,
+                "sparse",
+            )?;
+            diff_event_streams(&|| ThpStages::new(thp_config(policy)), pages, "thp")
         });
     }
 }
@@ -261,6 +266,30 @@ fn z_config(policy: PolicyKind, resident_pages: u64, seed: u64) -> DecoupledConf
         resident_pages,
         ram_policy: policy,
         seed,
+    }
+}
+
+/// The sparse manager's configuration at this suite's sizes.
+fn sparse_config(policy: PolicyKind) -> SparseConfig {
+    SparseConfig {
+        tlb_value_bits: 64,
+        coverage: 64,
+        tlb_entries: TLB,
+        tlb_policy: policy,
+        resident_pages: IcebergParams::derive(PHYS).max_resident,
+        ram_policy: policy,
+        seed: 17,
+    }
+}
+
+/// The THP manager's configuration at this suite's sizes.
+fn thp_config(policy: PolicyKind) -> ThpConfig {
+    ThpConfig {
+        huge_pages: 8,
+        phys_pages: PHYS,
+        tlb_entries: TLB,
+        policy,
+        seed: 19,
     }
 }
 

@@ -182,6 +182,11 @@ fn workload(
     virt: u64,
     seed: u64,
 ) -> Result<Box<dyn Iterator<Item = VirtPage>>, ArgError> {
+    if virt == 0 {
+        return Err(ArgError(
+            "--virt (default 4 × --phys) must be nonzero".into(),
+        ));
+    }
     Ok(match args.get_or("workload", "bimodal") {
         "bimodal" => Box::new(Bimodal::scaled(seed, virt)),
         "walk" => Box::new(ParetoWalk::new(seed, virt, 0.01)),
@@ -245,8 +250,8 @@ fn common(args: &Args) -> Result<Common, ArgError> {
 }
 
 /// The classic manager's configuration from the common options, checked
-/// before anything is allocated.
-fn classic_config(c: &Common) -> Result<ClassicConfig, ArgError> {
+/// before anything is allocated. `what` prefixes the error message.
+fn classic_config(c: &Common, what: &str) -> Result<ClassicConfig, ArgError> {
     let cfg = ClassicConfig {
         huge_pages: c.h,
         phys_pages: c.phys,
@@ -256,13 +261,13 @@ fn classic_config(c: &Common) -> Result<ClassicConfig, ArgError> {
         seed: c.seed,
     };
     cfg.validate()
-        .map_err(|e| ArgError(format!("--manager classic: {e}")))?;
+        .map_err(|e| ArgError(format!("{what}: {e}")))?;
     Ok(cfg)
 }
 
 /// Builds a manager as a pipeline over `obs`. The observer is generic so
 /// the default build pays nothing ([`NoopObserver`]) while `--observe`
-/// attaches a [`SharedRecorder`] without a separate construction path.
+/// attaches a [`Shared`] observer without a separate construction path.
 fn build_observed<O: SimObserver + 'static>(
     name: &str,
     c: &Common,
@@ -270,7 +275,7 @@ fn build_observed<O: SimObserver + 'static>(
 ) -> Result<Box<dyn MemoryManager>, ArgError> {
     Ok(match name {
         "classic" => Box::new(Pipeline::with_observer(
-            ClassicStages::new(classic_config(c)?),
+            ClassicStages::new(classic_config(c, "--manager classic")?),
             obs,
         )),
         "decoupled" => {
@@ -698,10 +703,10 @@ fn run_tenant_point<M: atp_memmgmt::TenantManager>(
 }
 
 /// `atp tenants` — the multi-tenant sweep: N tenants × activity skew over
-/// one shared physical pool, driven by [`TenantMix`] context-switch
-/// traces. `tagged` runs the dedicated ASID-tagged manager (shared
-/// `AsidTlb`, switches flush nothing); `arena` interleaves tenants into
-/// one classic manager's address space as the untagged baseline.
+/// one shared physical pool, driven by [`atp_workloads::TenantMix`]
+/// context-switch traces. `tagged` runs the dedicated ASID-tagged manager
+/// (shared `AsidTlb`, switches flush nothing); `arena` interleaves tenants
+/// into one classic manager's address space as the untagged baseline.
 pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
     let args = Args::parse(raw, &["phases"])?;
     check_opts(
@@ -726,6 +731,8 @@ pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
         ],
     )?;
     let c = common(&args)?;
+    // Both tenant managers page classic huge-page units over one TLB.
+    let classic = classic_config(&c, "tenants")?;
     let window = args.u64_or("window", 0)?;
     let phases = phase_config(&args, window)?.map(|cfg| (window, cfg));
     if window > 0 && phases.is_none() {
@@ -788,7 +795,7 @@ pub fn tenants_cmd(raw: &[String]) -> Result<(), ArgError> {
                 }
                 "arena" => {
                     let mut arena = atp_memmgmt::TenantArena::new(
-                        Pipeline::from_stages(ClassicStages::new(classic_config(&c)?)),
+                        Pipeline::from_stages(ClassicStages::new(classic)),
                         vspan,
                     );
                     run_tenant_point(
@@ -939,6 +946,8 @@ pub fn multicore_cmd(raw: &[String]) -> Result<(), ArgError> {
     let args = Args::parse(raw, &[])?;
     check_opts(&args, &["cores", "metrics", "format"])?;
     let c = common(&args)?;
+    // Every core runs the classic huge-page manager's TLB over shared RAM.
+    classic_config(&c, "multicore")?;
     let cores = args.u64_or("cores", 4)? as usize;
     if cores == 0 {
         return Err(ArgError("--cores must be at least 1".into()));
@@ -1827,18 +1836,28 @@ mod tests {
     }
 
     #[test]
-    fn invalid_decoupled_sparse_x_and_y_configs_exit_2() {
-        // Each of these used to panic (exit 101) inside a constructor.
+    fn invalid_manager_configs_exit_2() {
+        // Each of these used to panic (exit 101) inside a constructor or a
+        // workload generator.
         for (vector, want) in [
-            ("--manager decoupled --tlb 0", "tlb_entries"),
-            ("--manager sparse --tlb 0", "tlb_entries"),
-            ("--manager x --h 3", "power of two"),
-            ("--manager y --phys 0", "resident_pages"),
+            ("simulate --manager decoupled --tlb 0", "tlb_entries"),
+            ("simulate --manager sparse --tlb 0", "tlb_entries"),
+            ("simulate --manager x --h 3", "power of two"),
+            ("simulate --manager y --phys 0", "resident_pages"),
+            ("simulate --manager decoupled --phys 0", "--virt"),
+            ("simulate --manager sparse --phys 0", "--virt"),
+            ("simulate --manager x --phys 0", "--virt"),
+            ("multicore --tlb 0", "tlb_entries"),
+            ("tenants --tlb 0", "tlb_entries"),
         ] {
-            let mut args = vec!["simulate"];
-            args.extend(vector.split(' '));
+            let args: Vec<&str> = vector.split(' ').collect();
             assert_eq!(crate::run(&argv(&args)), 2, "{vector}");
-            let err = simulate(&argv(&args[1..])).unwrap_err();
+            let cmd = match args[0] {
+                "simulate" => simulate,
+                "multicore" => multicore_cmd,
+                _ => tenants_cmd,
+            };
+            let err = cmd(&argv(&args[1..])).unwrap_err();
             assert!(err.0.contains(want), "{vector}: {err}");
         }
     }

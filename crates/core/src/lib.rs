@@ -33,7 +33,6 @@ pub mod encoding;
 pub mod encoding_sparse;
 pub mod params;
 pub mod scheme;
-pub mod tenancy;
 
 pub use alloc::{
     FullyAssociativeAlloc, GreedyAlloc, IcebergAlloc, OneChoiceAlloc, PagingFailure, Placement,
@@ -41,6 +40,5 @@ pub use alloc::{
 };
 pub use encoding::{SlotCode, TlbValue};
 pub use encoding_sparse::{sparse_hmax, SparseValue};
-pub use params::{hmax_for, AllocatorKind, IcebergParams, OneChoiceParams};
+pub use params::{hmax_for, IcebergParams, OneChoiceParams};
 pub use scheme::DecouplingScheme;
-pub use tenancy::SharedPoolAlloc;

@@ -16,17 +16,6 @@
 //! and verify (a) zero observed paging failures at the derived parameters
 //! and (b) the bits-per-code gap between the two schemes widening with `P`.
 
-/// Which allocation scheme to use, for runtime-configured experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocatorKind {
-    /// Fully associative free-list (baseline; `⌈log₂(P+1)⌉`-bit codes).
-    FullyAssociative,
-    /// Bucketed one-choice hashing (Theorem 1).
-    OneChoice,
-    /// Iceberg\[2\] (Theorem 3).
-    Iceberg,
-}
-
 #[inline]
 fn lg2(x: f64) -> f64 {
     x.max(2.0).log2()

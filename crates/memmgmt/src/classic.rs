@@ -12,7 +12,7 @@
 //! `h ∈ {1, 2, 4, …, 1024}` regenerates Figure 1.
 
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
-use crate::pipeline::{Pipeline, Stages, TlbProbe, PREPARE_LANES};
+use crate::pipeline::{Pipeline, Stages, PREPARE_LANES};
 use crate::traits::AccessReport;
 use atp_hash::{fx_hash, NO_SLOT};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
@@ -137,51 +137,30 @@ impl ClassicStages {
 
 impl Stages for ClassicStages {
     // RAM first: a fault brings the whole physical huge page in (h IOs);
-    // the TLB is touched once, after residency, so the probe is deferred.
-    fn tlb_stage<O: SimObserver>(&mut self, _addr: VirtPage, _obs: &mut O) -> TlbProbe {
-        TlbProbe::Deferred
-    }
-
-    fn residency_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        _probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
+    // the TLB is touched once, after residency.
+    fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport {
+        let mut report = AccessReport::default();
         let u = self.geom.huge_of(addr);
-        match self.ram.access(u.id()) {
-            AccessResult::Hit => {}
-            AccessResult::Miss { evicted } => {
-                report.ios = self.h;
-                if let Some(old) = evicted {
-                    obs.on_eviction(EvictionEvent {
-                        unit: old,
-                        pages: self.h,
-                    });
-                    // The evicted unit's translation must leave the TLB —
-                    // it no longer has a physical address.
-                    if self.tlb.invalidate(VirtHugePage(old)).is_some() {
-                        obs.on_tlb_event(TlbEvent::Shootdown);
-                    }
+        if let AccessResult::Miss { evicted } = self.ram.access(u.id()) {
+            report.ios = self.h;
+            if let Some(old) = evicted {
+                obs.on_eviction(EvictionEvent {
+                    unit: old,
+                    pages: self.h,
+                });
+                // The evicted unit's translation must leave the TLB —
+                // it no longer has a physical address.
+                if self.tlb.invalidate(VirtHugePage(old)).is_some() {
+                    obs.on_tlb_event(TlbEvent::Shootdown);
                 }
             }
         }
-    }
-
-    fn translate_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        _probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
         // Fully associative over huge-page ids; touch-or-fill in one step.
-        let u = self.geom.huge_of(addr);
         report.tlb_miss = !self.tlb.access_or_fill(u, || ());
         if report.tlb_miss {
             obs.on_tlb_event(TlbEvent::Fill);
         }
+        report
     }
 
     fn name(&self) -> String {
@@ -200,8 +179,8 @@ impl Stages for ClassicStages {
     // every lane (their probe misses overlap), then retire the leading
     // run that resolved in *both* — a pure hit takes no IO, evicts
     // nothing, and emits no stage events, so applying the two hit paths
-    // per lane in access order (residency first, translate second, the
-    // staged order) is bit-for-bit the sequential outcome.
+    // per lane in access order (RAM first, TLB second, the order of
+    // `access`) is bit-for-bit the sequential outcome.
     fn retire_batch(&mut self, addrs: &[VirtPage]) -> usize {
         let n = addrs.len().min(PREPARE_LANES);
         let mut ram_keys = [0u64; PREPARE_LANES];

@@ -18,13 +18,13 @@
 //!
 //! The result enjoys eq. (7): `C(Z,σ) ≤ C_TLB(X,σ) + C_IO(Y,σ) + n/poly(P)`.
 //!
-//! In pipeline terms, `Z` is the canonical three-stage manager: probe first
+//! One access of `Z` is the canonical pipeline sequence: probe first
 //! (hardware order), page-granular residency with free in-place TLB value
 //! maintenance, then a ψ(u) fill on the probe miss.
 
 use crate::classic::check_slots;
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
-use crate::pipeline::{Pipeline, Stages, TlbProbe};
+use crate::pipeline::{Pipeline, Stages};
 use crate::traits::AccessReport;
 use atp_core::{DecouplingScheme, RamAllocator, SlotCode, TlbValue};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
@@ -102,29 +102,24 @@ impl<A: RamAllocator> DecoupledStages<A> {
     pub fn coverage(&self) -> u64 {
         self.scheme.hmax()
     }
+
+    /// Warms the TLB and RAM probe lines `addr` will touch.
+    pub(crate) fn touch(&self, addr: VirtPage) {
+        self.tlb.touch(self.scheme.geometry().huge_of(addr));
+        self.ram.touch(&addr.0);
+    }
 }
 
 impl<A: RamAllocator> Stages for DecoupledStages<A> {
-    fn tlb_stage<O: SimObserver>(&mut self, addr: VirtPage, _obs: &mut O) -> TlbProbe {
-        // Lookup first (hardware order); the fill happens in the translate
-        // stage so the installed ψ(u) is fresh.
-        let u = self.scheme.geometry().huge_of(addr);
-        if self.tlb.lookup(u).is_some() {
-            TlbProbe::Hit
-        } else {
-            TlbProbe::Miss
-        }
-    }
-
-    fn residency_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        _probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
+    fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport {
         let geom = self.scheme.geometry();
         let u = geom.huge_of(addr);
+        // Probe first (hardware order); the fill waits until after the RAM
+        // step so the installed ψ(u) is fresh.
+        let mut report = AccessReport {
+            tlb_miss: self.tlb.lookup(u).is_none(),
+            ..AccessReport::default()
+        };
         // RAM step: Y's policy over base pages.
         match self.ram.access(addr.0) {
             AccessResult::Hit => {
@@ -161,17 +156,7 @@ impl<A: RamAllocator> Stages for DecoupledStages<A> {
                 }
             }
         }
-    }
-
-    fn translate_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        probe: TlbProbe,
-        _report: &mut AccessReport,
-        obs: &mut O,
-    ) {
-        let u = self.scheme.geometry().huge_of(addr);
-        if probe == TlbProbe::Miss {
+        if report.tlb_miss {
             self.tlb.insert(u, self.scheme.psi(u));
             obs.on_tlb_event(TlbEvent::Fill);
         }
@@ -186,6 +171,7 @@ impl<A: RamAllocator> Stages for DecoupledStages<A> {
                     .is_none_or(|val| self.scheme.decode(addr, val) == self.scheme.frame_of(addr)),
             "decode invariant violated for {addr:?}"
         );
+        report
     }
 
     fn name(&self) -> String {
@@ -198,10 +184,8 @@ impl<A: RamAllocator> Stages for DecoupledStages<A> {
     }
 
     fn prepare_batch(&self, addrs: &[VirtPage]) {
-        let geom = self.scheme.geometry();
         for &a in addrs {
-            self.tlb.touch(geom.huge_of(a));
-            self.ram.touch(&a.0);
+            self.touch(a);
         }
     }
 }

@@ -10,14 +10,13 @@
 //! `hmax × chunk` base pages, while a fault moves `chunk` pages (amplification
 //! `chunk` instead of `hmax × chunk`).
 //!
-//! In pipeline terms this is exactly the [`Stages::map_addr`] and
-//! [`Stages::io_scale`] hooks over the decoupled stages: requests map to
-//! chunk ids before the TLB probe, and the residency stage's IOs are scaled
-//! by `chunk` after the stages run.
+//! In pipeline terms this is the decoupled [`Stages::access`] over chunk
+//! ids: a request maps to its chunk before the TLB probe, and the IOs are
+//! scaled by `chunk` after the access.
 
 use crate::decoupled::{DecoupledConfig, DecoupledStages};
 use crate::observe::SimObserver;
-use crate::pipeline::{Pipeline, Stages, TlbProbe};
+use crate::pipeline::{Pipeline, Stages};
 use crate::traits::AccessReport;
 use atp_core::RamAllocator;
 use atp_types::VirtPage;
@@ -52,39 +51,18 @@ impl<A: RamAllocator> HybridStages<A> {
     pub fn coverage(&self) -> u64 {
         self.inner.coverage() * self.chunk
     }
+
+    /// The chunk id holding base page `v`.
+    fn chunk_of(&self, v: VirtPage) -> VirtPage {
+        VirtPage(v.0 / self.chunk)
+    }
 }
 
 impl<A: RamAllocator> Stages for HybridStages<A> {
-    fn map_addr(&self, v: VirtPage) -> VirtPage {
-        VirtPage(v.0 / self.chunk)
-    }
-
-    fn io_scale(&self) -> u64 {
-        self.chunk // a chunk fault moves `chunk` pages
-    }
-
-    fn tlb_stage<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> TlbProbe {
-        self.inner.tlb_stage(addr, obs)
-    }
-
-    fn residency_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
-        self.inner.residency_stage(addr, probe, report, obs);
-    }
-
-    fn translate_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
-        self.inner.translate_stage(addr, probe, report, obs);
+    fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport {
+        let mut report = self.inner.access(self.chunk_of(addr), obs);
+        report.ios *= self.chunk; // a chunk fault moves `chunk` pages
+        report
     }
 
     fn name(&self) -> String {
@@ -92,8 +70,9 @@ impl<A: RamAllocator> Stages for HybridStages<A> {
     }
 
     fn prepare_batch(&self, addrs: &[VirtPage]) {
-        // `addrs` are already chunk ids (the pipeline maps before preparing).
-        self.inner.prepare_batch(addrs);
+        for &a in addrs {
+            self.inner.touch(self.chunk_of(a));
+        }
     }
 }
 

@@ -24,8 +24,8 @@
 //!   amplification for `chunk×` more TLB coverage.
 //!
 //! All managers are [`Stages`] implementations run by the shared
-//! [`Pipeline`] — a staged access path (TLB probe → residency → translate)
-//! with a pluggable [`SimObserver`] seam ([`Recorder`] captures per-stage
+//! [`Pipeline`]: one [`Stages::access`] per request (TLB probe → residency
+//! → translate) with a pluggable [`SimObserver`] seam ([`Recorder`] captures per-stage
 //! counters and histograms; the default [`NoopObserver`] costs nothing).
 //! Every pipeline implements [`MemoryManager`] and can be driven by
 //! `atp-sim`.
@@ -48,11 +48,11 @@ pub use classic::ClassicMm;
 pub use decoupled::DecoupledMm;
 pub use hybrid::HybridMm;
 pub use observe::{
-    latency_classes, EvictionEvent, LatencyClass, NoopObserver, Recorder, SharedRecorder,
-    SimObserver, StageCounters, TlbEvent,
+    latency_classes, EvictionEvent, LatencyClass, NoopObserver, Recorder, SimObserver,
+    StageCounters, TlbEvent,
 };
 pub use only::{PagingOnlyMm, VirtualOnlyMm};
-pub use pipeline::{Pipeline, Stages, TlbProbe, PREPARE_LANES};
+pub use pipeline::{Pipeline, Stages, PREPARE_LANES};
 pub use sparse::{SparseConfig, SparseDecoupledMm};
 pub use tenancy::{TenantArena, TenantManager, TenantMm, TenantMmConfig};
 pub use thp::{ThpConfig, ThpMm, ThpStats};

@@ -9,15 +9,11 @@
 //!
 //! [`Recorder`] is the batteries-included observer: per-stage counters plus
 //! reuse-distance and access-latency histograms, cheap enough to leave on
-//! for full Figure-1 runs. [`SharedRecorder`] wraps it in `Rc<RefCell>` so
-//! a caller can keep a handle while the pipeline owns the observer (the
-//! `atp --observe` flag uses this through `Box<dyn MemoryManager>`).
+//! for full Figure-1 runs.
 
 use crate::traits::AccessReport;
 use atp_hash::FxHashMap;
 use atp_types::VirtPage;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// An event at the TLB stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -329,85 +325,10 @@ impl SimObserver for Recorder {
     }
 }
 
-/// A [`Recorder`] behind `Rc<RefCell>`: clone one handle into the pipeline
-/// and keep another to read results after the run, even when the pipeline
-/// is owned as a `Box<dyn MemoryManager>`.
-#[derive(Clone, Debug, Default)]
-pub struct SharedRecorder(Rc<RefCell<Recorder>>);
-
-impl SharedRecorder {
-    /// Creates a fresh shared recorder.
-    pub fn new() -> Self {
-        SharedRecorder(Rc::new(RefCell::new(Recorder::new())))
-    }
-
-    /// Runs `f` on the inner recorder.
-    pub fn with<R>(&self, f: impl FnOnce(&Recorder) -> R) -> R {
-        f(&self.0.borrow())
-    }
-
-    /// Clones out the inner recorder's current state.
-    pub fn snapshot(&self) -> Recorder {
-        self.0.borrow().clone()
-    }
-}
-
-impl SimObserver for SharedRecorder {
-    fn on_access(&mut self, v: VirtPage, report: AccessReport) {
-        self.0.borrow_mut().on_access(v, report);
-    }
-
-    fn on_tlb_event(&mut self, event: TlbEvent) {
-        self.0.borrow_mut().on_tlb_event(event);
-    }
-
-    fn on_eviction(&mut self, event: EvictionEvent) {
-        self.0.borrow_mut().on_eviction(event);
-    }
-
-    fn on_decode_miss(&mut self, v: VirtPage) {
-        self.0.borrow_mut().on_decode_miss(v);
-    }
-
-    fn on_batch_boundary(&mut self, len: usize) {
-        self.0.borrow_mut().on_batch_boundary(len);
-    }
-}
-
 /// Sums per-class latency counts into the model's total cost (for checks
 /// and reports; exact when no access mixes classes unexpectedly).
 pub fn latency_classes() -> [LatencyClass; 4] {
     LatencyClass::ALL
-}
-
-/// Observer composition: a pair forwards every event to both halves, so a
-/// run can capture, say, counters *and* a structured event trace without a
-/// bespoke combined observer. Nest pairs for more: `(a, (b, c))`.
-impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
-    fn on_access(&mut self, v: VirtPage, report: AccessReport) {
-        self.0.on_access(v, report);
-        self.1.on_access(v, report);
-    }
-
-    fn on_tlb_event(&mut self, event: TlbEvent) {
-        self.0.on_tlb_event(event);
-        self.1.on_tlb_event(event);
-    }
-
-    fn on_eviction(&mut self, event: EvictionEvent) {
-        self.0.on_eviction(event);
-        self.1.on_eviction(event);
-    }
-
-    fn on_decode_miss(&mut self, v: VirtPage) {
-        self.0.on_decode_miss(v);
-        self.1.on_decode_miss(v);
-    }
-
-    fn on_batch_boundary(&mut self, len: usize) {
-        self.0.on_batch_boundary(len);
-        self.1.on_batch_boundary(len);
-    }
 }
 
 #[cfg(test)]
@@ -483,15 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_recorder_survives_moves() {
-        let shared = SharedRecorder::new();
-        let mut handle = shared.clone();
-        handle.on_access(VirtPage(1), report(true, 0, false));
-        assert_eq!(shared.with(|r| r.accesses()), 1);
-        assert_eq!(shared.snapshot().latency_class(LatencyClass::Epsilon), 1);
-    }
-
-    #[test]
     fn without_reuse_tracking_skips_the_map() {
         let mut r = Recorder::without_reuse_tracking();
         assert!(!r.tracks_reuse());
@@ -517,27 +429,6 @@ mod tests {
         assert!(r.tracks_reuse());
         assert_eq!(r.cold_accesses(), 1);
         assert_eq!(r.reuse_histogram()[0], 1);
-    }
-
-    #[test]
-    fn pair_observer_feeds_both_halves() {
-        let mut pair = (Recorder::new(), Recorder::without_reuse_tracking());
-        pair.on_tlb_event(TlbEvent::Miss);
-        pair.on_eviction(EvictionEvent { unit: 1, pages: 4 });
-        pair.on_decode_miss(VirtPage(2));
-        pair.on_access(VirtPage(0), report(true, 1, false));
-        pair.on_batch_boundary(1);
-        for r in [&pair.0, &pair.1] {
-            let c = r.counters();
-            assert_eq!(c.tlb_misses, 1);
-            assert_eq!(c.evictions, 1);
-            assert_eq!(c.decode_misses, 1);
-            assert_eq!(c.faults, 1);
-            assert_eq!(c.batches, 1);
-            assert_eq!(r.accesses(), 1);
-        }
-        assert_eq!(pair.0.cold_accesses(), 1);
-        assert_eq!(pair.1.cold_accesses(), 0);
     }
 
     #[test]

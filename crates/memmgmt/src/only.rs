@@ -6,14 +6,13 @@
 //! These managers compute exactly those two costs, forming the right-hand
 //! side of eq. (7): `C(Z, σ) ≤ C_TLB(X, σ) + C_IO(Y, σ) + n/poly(P)`.
 //!
-//! As pipelines, each is a degenerate single-stage configuration: `X` runs
-//! only the TLB stage (no residency, no translation install beyond the
-//! cache's own fill); `Y` bypasses the TLB and runs only the residency
-//! stage.
+//! As pipelines, each runs one stage of `Z`'s access: `X` only the TLB
+//! probe (the cache fills on its own miss), `Y` only the residency step,
+//! with no TLB in its request path.
 
 use crate::classic::check_slots;
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
-use crate::pipeline::{Pipeline, Stages, TlbProbe, PREPARE_LANES};
+use crate::pipeline::{Pipeline, Stages, PREPARE_LANES};
 use crate::traits::AccessReport;
 use atp_hash::{fx_hash, NO_SLOT};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
@@ -74,34 +73,16 @@ impl VirtualOnlyStages {
 }
 
 impl Stages for VirtualOnlyStages {
-    fn tlb_stage<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> TlbProbe {
-        let u = self.geom.huge_of(addr);
-        // The cache fills on miss, so the fill happens here rather than in
-        // the translate stage.
-        if self.tlb.access(u.id()).is_hit() {
-            TlbProbe::Hit
-        } else {
+    fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport {
+        // The cache fills on miss, so the probe is also the fill.
+        let tlb_miss = !self.tlb.access(self.geom.huge_of(addr).id()).is_hit();
+        if tlb_miss {
             obs.on_tlb_event(TlbEvent::Fill);
-            TlbProbe::Miss
         }
-    }
-
-    fn residency_stage<O: SimObserver>(
-        &mut self,
-        _addr: VirtPage,
-        _probe: TlbProbe,
-        _report: &mut AccessReport,
-        _obs: &mut O,
-    ) {
-    }
-
-    fn translate_stage<O: SimObserver>(
-        &mut self,
-        _addr: VirtPage,
-        _probe: TlbProbe,
-        _report: &mut AccessReport,
-        _obs: &mut O,
-    ) {
+        AccessReport {
+            tlb_miss,
+            ..AccessReport::default()
+        }
     }
 
     fn name(&self) -> String {
@@ -160,38 +141,19 @@ impl PagingOnlyStages {
 }
 
 impl Stages for PagingOnlyStages {
-    fn tlb_stage<O: SimObserver>(&mut self, _addr: VirtPage, _obs: &mut O) -> TlbProbe {
-        TlbProbe::Bypass
-    }
-
-    fn residency_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        _probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
-        match self.ram.access(addr.id()) {
-            AccessResult::Hit => {}
-            AccessResult::Miss { evicted } => {
-                report.ios = 1;
-                if let Some(old) = evicted {
-                    obs.on_eviction(EvictionEvent {
-                        unit: old,
-                        pages: 1,
-                    });
-                }
+    // No TLB in the request path: `tlb_miss` stays false.
+    fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport {
+        let mut report = AccessReport::default();
+        if let AccessResult::Miss { evicted } = self.ram.access(addr.id()) {
+            report.ios = 1;
+            if let Some(old) = evicted {
+                obs.on_eviction(EvictionEvent {
+                    unit: old,
+                    pages: 1,
+                });
             }
         }
-    }
-
-    fn translate_stage<O: SimObserver>(
-        &mut self,
-        _addr: VirtPage,
-        _probe: TlbProbe,
-        _report: &mut AccessReport,
-        _obs: &mut O,
-    ) {
+        report
     }
 
     fn name(&self) -> String {

@@ -1,103 +1,52 @@
-//! The staged translation pipeline.
+//! The translation pipeline.
 //!
-//! Every memory manager in this crate services a request through the same
-//! three stages, in order:
+//! Every memory manager in this crate is a [`Stages`] implementation whose
+//! [`Stages::access`] services one request end to end, in the order its
+//! hardware would: probe the TLB, make the page resident (IOs, evictions,
+//! in-place updates of the decoupling scheme), then install or refresh
+//! translations (ψ(u) fills, decode-miss re-encodes). Managers that touch
+//! RAM first (the classic and THP simulators) probe the TLB once, after
+//! residency; the IO-only algorithm `Y` never probes it.
 //!
-//! 1. **TLB stage** — probe the translation cache ([`Stages::tlb_stage`]).
-//!    The probe can resolve immediately (`Hit`/`Miss`), be `Deferred` to
-//!    the translate stage (managers that touch RAM before the TLB, like
-//!    the classic huge-page simulator), or `Bypass` the TLB entirely (the
-//!    IO-only algorithm `Y`).
-//! 2. **Residency stage** — consult the RAM cache, perform IOs, evict and
-//!    update the decoupling scheme ([`Stages::residency_stage`]).
-//! 3. **Translate stage** — decode/walk and install translations
-//!    ([`Stages::translate_stage`]): ψ(u) fills after a miss, deferred
-//!    probes, decode-miss re-encodes.
-//!
-//! [`Pipeline`] owns the stages plus a [`SimObserver`], runs the three
-//! stages for each access, applies the address map and IO scale hooks
-//! (used by the hybrid chunked manager), emits observer events, and keeps
-//! the [`Costs`] tally. Managers are thin [`Stages`] implementations; all
-//! probe/tally plumbing lives here, once.
+//! [`Pipeline`] owns the stages plus a [`SimObserver`], emits the
+//! per-access observer epilogue (the `Hit`/`Miss` event, the decode miss
+//! and `on_access`), keeps the [`Costs`] tally, and runs the batched lane
+//! loop. Managers report only their own stage events; all tally and
+//! epilogue plumbing lives here, once.
 
 use crate::observe::{NoopObserver, SimObserver, TlbEvent};
 use crate::traits::{tally, AccessReport, MemoryManager};
 use atp_types::{Costs, ProfSink, StageOp, VirtPage};
 
-/// Outcome of the TLB stage for one access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TlbProbe {
-    /// The TLB holds a translation for the request.
-    Hit,
-    /// The TLB does not; the translate stage will install one.
-    Miss,
-    /// The probe is deferred to the translate stage (RAM-first managers
-    /// perform a single combined touch-or-fill after residency).
-    Deferred,
-    /// This manager has no TLB in the request path.
-    Bypass,
-}
-
-/// A memory manager expressed as the three pipeline stages.
+/// A memory manager's state and its per-access step.
 ///
-/// Stage methods are generic over the observer so that a `NoopObserver`
-/// pipeline monomorphizes to the bare access path. Implementations must
-/// only report events through `obs`; cost accounting goes through the
+/// [`Stages::access`] is generic over the observer so that a
+/// `NoopObserver` pipeline monomorphizes to the bare access path.
+/// Implementations report stage events (fills, evictions, shootdowns)
+/// only through `obs`; cost accounting goes through the returned
 /// [`AccessReport`] and is tallied centrally by [`Pipeline`].
 pub trait Stages {
-    /// Maps the requested page into this manager's internal address space
-    /// (the hybrid manager maps base pages to chunk ids). Default:
-    /// identity.
-    fn map_addr(&self, v: VirtPage) -> VirtPage {
-        v
-    }
-
-    /// Multiplier applied to the residency stage's IO count (the hybrid
-    /// manager moves whole chunks per fault). Default: 1.
-    fn io_scale(&self) -> u64 {
-        1
-    }
-
-    /// Stage 1: probe the TLB for `addr`.
-    fn tlb_stage<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> TlbProbe;
-
-    /// Stage 2: make `addr` resident, recording IOs (and failure-path
-    /// costs) in `report`.
-    fn residency_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    );
-
-    /// Stage 3: install or refresh translations for `addr`. A `Deferred`
-    /// probe must be resolved here by setting `report.tlb_miss`.
-    fn translate_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    );
+    /// Services one request for `addr`: TLB probe, residency, translate.
+    /// The report's `tlb_miss` stays `false` for a manager with no TLB in
+    /// the request path (the model charges nothing for it).
+    fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport;
 
     /// Human-readable description for reports.
     fn name(&self) -> String;
 
-    /// Warms cache lines for a small window of *mapped* upcoming
-    /// addresses (the prefetch stage of [`Pipeline::access_batch`]).
-    /// Takes `&self` so implementations are structurally incapable of
-    /// changing outcomes: they may only touch probe lines
-    /// (`CacheSim::touch`, `Tlb::touch`), never policy state, counters,
-    /// or membership. Default: no-op.
+    /// Warms cache lines for a small window of upcoming addresses (the
+    /// prefetch stage of [`Pipeline::access_batch`]). Takes `&self` so
+    /// implementations are structurally incapable of changing outcomes:
+    /// they may only touch probe lines (`CacheSim::touch`, `Tlb::touch`),
+    /// never policy state, counters, or membership. Default: no-op.
     fn prepare_batch(&self, _addrs: &[VirtPage]) {}
 
-    /// Batched fast path: retires the *leading* run of `addrs` (already
-    /// mapped) that are pure hits at every stage — no IOs, no TLB miss,
-    /// no evictions, no stage-level observer events — applying exactly
-    /// the per-access hit effects (policy refresh + hit counters) in
-    /// access order, and returns how long that run is. The remaining
-    /// lanes replay through the staged path.
+    /// Batched fast path: retires the *leading* run of `addrs` that are
+    /// pure hits at every stage — no IOs, no TLB miss, no evictions, no
+    /// stage-level observer events — applying exactly the per-access hit
+    /// effects (policy refresh + hit counters) in access order, and
+    /// returns how long that run is. The remaining lanes replay through
+    /// [`Stages::access`].
     ///
     /// Implementations typically wide-probe their caches over the whole
     /// lane group (overlapping the probe misses), then retire the prefix
@@ -165,25 +114,7 @@ impl<S: Stages, O: SimObserver> Pipeline<S, O> {
 
 impl<S: Stages, O: SimObserver> MemoryManager for Pipeline<S, O> {
     fn access(&mut self, v: VirtPage) -> AccessReport {
-        let addr = self.stages.map_addr(v);
-        let mut report = AccessReport::default();
-
-        let probe = self.stages.tlb_stage(addr, &mut self.observer);
-        self.stages
-            .residency_stage(addr, probe, &mut report, &mut self.observer);
-        self.stages
-            .translate_stage(addr, probe, &mut report, &mut self.observer);
-
-        match probe {
-            TlbProbe::Hit => report.tlb_miss = false,
-            TlbProbe::Miss => report.tlb_miss = true,
-            // Bypass: no TLB in the path; the model charges nothing (and
-            // the tally counts the access as a hit). Deferred: the
-            // translate stage resolved the probe into `report`.
-            TlbProbe::Bypass | TlbProbe::Deferred => {}
-        }
-        report.ios *= self.stages.io_scale();
-
+        let report = self.stages.access(v, &mut self.observer);
         self.observer.on_tlb_event(if report.tlb_miss {
             TlbEvent::Miss
         } else {
@@ -214,27 +145,24 @@ impl<S: Stages, O: SimObserver> MemoryManager for Pipeline<S, O> {
     }
 
     /// Software-pipelined batch drive: for each [`PREPARE_LANES`]-wide
-    /// window, map the addresses, let the stages warm their probe lines
+    /// window, let the stages warm their probe lines
     /// ([`Stages::prepare_batch`], a `&self` hook that cannot change
     /// outcomes), retire the leading pure-hit run in one group step
     /// ([`Stages::retire_batch`]), and replay the rest in order through
-    /// the normal staged path. Bit-for-bit equivalent to per-access
+    /// [`Self::access`]. Bit-for-bit equivalent to per-access
     /// [`Self::access`], including the observer event stream: a pure hit
     /// emits no stage events either way, so the fast path reproduces the
     /// pipeline-level `Hit` + access report verbatim.
     ///
     /// With an enabled `prof`, each window also reports its fast-path
     /// occupancy and per-stage op counts (every lane is prepared; retired
-    /// lanes skip the stage walk; replayed lanes run all three stages).
+    /// lanes skip the stage walk; each replayed lane counts once under
+    /// each of the TLB, residency and translate stages).
     fn access_batch(&mut self, vs: &[VirtPage], prof: &mut dyn ProfSink) {
-        let mut mapped = [VirtPage(0); PREPARE_LANES];
         let profiled = prof.enabled();
         for sub in vs.chunks(PREPARE_LANES) {
-            for (i, &v) in sub.iter().enumerate() {
-                mapped[i] = self.stages.map_addr(v);
-            }
-            self.stages.prepare_batch(&mapped[..sub.len()]);
-            let retired = self.stages.retire_batch(&mapped[..sub.len()]);
+            self.stages.prepare_batch(sub);
+            let retired = self.stages.retire_batch(sub);
             debug_assert!(retired <= sub.len(), "retired more lanes than given");
             if profiled {
                 prof.lane_occupancy(retired as u64);
@@ -276,37 +204,19 @@ mod tests {
     }
 
     impl Stages for Toy {
-        fn tlb_stage<O: SimObserver>(&mut self, addr: VirtPage, _obs: &mut O) -> TlbProbe {
-            if self.tlb == Some(addr.0) {
-                TlbProbe::Hit
-            } else {
-                TlbProbe::Miss
-            }
-        }
-
-        fn residency_stage<O: SimObserver>(
-            &mut self,
-            addr: VirtPage,
-            _probe: TlbProbe,
-            report: &mut AccessReport,
-            _obs: &mut O,
-        ) {
+        fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport {
+            let mut report = AccessReport {
+                tlb_miss: self.tlb != Some(addr.0),
+                ..AccessReport::default()
+            };
             if self.resident.insert(addr.0) {
                 report.ios = 1;
             }
-        }
-
-        fn translate_stage<O: SimObserver>(
-            &mut self,
-            addr: VirtPage,
-            probe: TlbProbe,
-            _report: &mut AccessReport,
-            obs: &mut O,
-        ) {
-            if probe == TlbProbe::Miss {
+            if report.tlb_miss {
                 self.tlb = Some(addr.0);
                 obs.on_tlb_event(TlbEvent::Fill);
             }
+            report
         }
 
         fn name(&self) -> String {
@@ -390,7 +300,7 @@ mod tests {
             "profiling must not change outcomes"
         );
         // Toy has no fast path: every lane group retires zero lanes and
-        // replays everything through all three stages.
+        // replays everything through `Stages::access`.
         assert_eq!(t.lanes, vec![0, 0, 0]);
         assert_eq!(t.ops["prepare"], 40);
         assert_eq!(t.ops.get("retire_fast"), None);

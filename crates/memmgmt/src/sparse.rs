@@ -17,14 +17,13 @@
 //! huge pages* (strides, cold regions); dense encoding wins when runs are
 //! fully resident. The `sparse_vs_dense` test pins both directions.
 //!
-//! The pipeline shape matches dense `Z`, with one addition: the residency
-//! stage's hit path may discover a resident-but-unencoded page, which costs
-//! a decoding miss and re-encodes for free (this is the only manager whose
-//! residency stage consults the TLB probe).
+//! The access matches dense `Z`, with one addition: a RAM hit under a TLB
+//! hit may discover a resident-but-unencoded page, which costs a decoding
+//! miss and re-encodes for free.
 
 use crate::classic::check_slots;
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
-use crate::pipeline::{Pipeline, Stages, TlbProbe};
+use crate::pipeline::{Pipeline, Stages};
 use crate::traits::AccessReport;
 use atp_core::{DecouplingScheme, RamAllocator, SlotCode, SparseValue};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
@@ -144,25 +143,14 @@ impl<A: RamAllocator> SparseStages<A> {
 }
 
 impl<A: RamAllocator> Stages for SparseStages<A> {
-    fn tlb_stage<O: SimObserver>(&mut self, addr: VirtPage, _obs: &mut O) -> TlbProbe {
-        let u = self.scheme.geometry().huge_of(addr);
-        if self.tlb.lookup(u).is_some() {
-            TlbProbe::Hit
-        } else {
-            TlbProbe::Miss
-        }
-    }
-
-    fn residency_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
+    fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport {
         let geom = self.scheme.geometry();
         let u = geom.huge_of(addr);
         let idx = self.scheme.index_within(addr);
+        let mut report = AccessReport {
+            tlb_miss: self.tlb.lookup(u).is_none(),
+            ..AccessReport::default()
+        };
 
         match self.ram.access(addr.0) {
             AccessResult::Hit => {
@@ -170,7 +158,7 @@ impl<A: RamAllocator> Stages for SparseStages<A> {
                     report.ios += 1;
                     report.decode_miss = true;
                     report.paging_failure = true;
-                } else if probe == TlbProbe::Hit {
+                } else if !report.tlb_miss {
                     // Resident + covered: does the sparse value know addr?
                     let known = self.tlb.peek(u).and_then(|v| v.get(idx)).is_some();
                     if !known {
@@ -209,21 +197,12 @@ impl<A: RamAllocator> Stages for SparseStages<A> {
                 }
             }
         }
-    }
-
-    fn translate_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        probe: TlbProbe,
-        _report: &mut AccessReport,
-        obs: &mut O,
-    ) {
-        if probe == TlbProbe::Miss {
-            let u = self.scheme.geometry().huge_of(addr);
+        if report.tlb_miss {
             let psi = self.sparse_psi(u);
             self.tlb.insert(u, psi);
             obs.on_tlb_event(TlbEvent::Fill);
         }
+        report
     }
 
     fn name(&self) -> String {

@@ -29,13 +29,13 @@
 //! attempt scans one bit per group.
 //!
 //! As a pipeline, THP is a RAM-first manager like the classic simulator:
-//! the TLB probe is deferred, the residency stage does all fault/promote/
-//! evict work, and the translate stage performs the single touch-or-fill
-//! against whichever key (huge or base) currently maps the page.
+//! an access first does all fault/promote/evict work, then performs the
+//! single TLB touch-or-fill against whichever key (huge or base) currently
+//! maps the page.
 
 use crate::classic::{check_huge, check_slots};
 use crate::observe::{EvictionEvent, SimObserver, TlbEvent};
-use crate::pipeline::{Pipeline, Stages, TlbProbe};
+use crate::pipeline::{Pipeline, Stages};
 use crate::traits::AccessReport;
 use atp_hash::{CounterRng, FxHashMap};
 use atp_replacement::{AccessResult, AnyPolicy, CacheSim, PolicyKind};
@@ -503,19 +503,10 @@ impl ThpStages {
 }
 
 impl Stages for ThpStages {
-    fn tlb_stage<O: SimObserver>(&mut self, _addr: VirtPage, _obs: &mut O) -> TlbProbe {
-        // RAM-first manager: a fault may promote the run, changing which
-        // TLB key covers the page — the probe waits for residency.
-        TlbProbe::Deferred
-    }
-
-    fn residency_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        _probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
+    // RAM first: a fault may promote the run, changing which TLB key
+    // covers the page, so the TLB is probed after residency.
+    fn access<O: SimObserver>(&mut self, addr: VirtPage, obs: &mut O) -> AccessReport {
+        let mut report = AccessReport::default();
         let u = self.geom.huge_of(addr);
         if self.huge_frames.contains_key(&u) {
             // Promoted: one unit for the whole run.
@@ -527,18 +518,9 @@ impl Stages for ThpStages {
         } else {
             report.ios = self.fault_base(addr, obs);
         }
-    }
 
-    fn translate_stage<O: SimObserver>(
-        &mut self,
-        addr: VirtPage,
-        _probe: TlbProbe,
-        report: &mut AccessReport,
-        obs: &mut O,
-    ) {
-        // After a fault the run may have been promoted: pick the TLB key
-        // (huge run vs. single page) from the post-residency state.
-        let u = self.geom.huge_of(addr);
+        // Pick the TLB key (huge run vs. single page) from the
+        // post-residency state.
         let key = if self.huge_frames.contains_key(&u) {
             u
         } else {
@@ -548,6 +530,7 @@ impl Stages for ThpStages {
         if report.tlb_miss {
             obs.on_tlb_event(TlbEvent::Fill);
         }
+        report
     }
 
     fn name(&self) -> String {
@@ -556,10 +539,10 @@ impl Stages for ThpStages {
 
     fn prepare_batch(&self, addrs: &[VirtPage]) {
         for &a in addrs {
-            // Pick the keys the stages will probe from the *current*
+            // Pick the keys `access` will probe from the *current*
             // promotion state (read-only; a fault in the window may still
-            // flip it — prefetch is best-effort, correctness lives in the
-            // stages).
+            // flip it — prefetch is best-effort, correctness lives in
+            // `access`).
             let u = self.geom.huge_of(a);
             if self.huge_frames.contains_key(&u) {
                 self.units.touch(&(HUGE_TAG | u.0));

@@ -1,8 +1,8 @@
 //! Observer composition for runs that want several captures at once.
 //!
-//! [`Shared<T>`] is the generic version of the memmgmt crate's
-//! `SharedRecorder`: clone one handle into the pipeline (which owns its
-//! observer) and keep another to read results after the run. [`RunObserver`]
+//! [`Shared<T>`] wraps any observer in `Rc<RefCell>`: clone one handle
+//! into the pipeline (which owns its observer) and keep another to read
+//! results after the run. [`RunObserver`]
 //! bundles the three capture layers a CLI run can request — counters
 //! ([`Recorder`]), structured events ([`EventLog`]), and windowed time
 //! series ([`Windowed`]) — behind one `SimObserver`, with the unused layers

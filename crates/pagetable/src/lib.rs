@@ -23,13 +23,11 @@ pub mod hash_table;
 pub mod nested;
 pub mod pwc;
 pub mod radix;
-pub mod tenant;
 
 pub use hash_table::HashPageTable;
 pub use nested::NestedTranslation;
 pub use pwc::CachedWalker;
 pub use radix::RadixPageTable;
-pub use tenant::TenantTables;
 
 use atp_types::{PhysPage, VirtPage};
 

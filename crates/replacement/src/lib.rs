@@ -9,7 +9,7 @@
 //! * online: [`Lru`], [`Fifo`], [`Clock`] (second chance), [`Mru`],
 //!   [`Lfu`] (ordered-map implementation), [`Slru`] (segmented LRU),
 //!   [`TwoQ`] (simplified 2Q), [`RandomPolicy`];
-//! * offline: [`opt::OptCache`] — Belady's farthest-in-future algorithm,
+//! * offline: [`opt::opt_misses`] — Belady's farthest-in-future algorithm,
 //!   used as the lower-bound comparator in experiments.
 //!
 //! All online policies plug into [`CacheSim`], which owns the key→slot map
@@ -49,7 +49,6 @@ pub use lru::Lru;
 pub use lruk::LruK;
 pub use marking::Marking;
 pub use mru::Mru;
-pub use opt::OptCache;
 pub use policy::{Policy, PolicyBuild, PolicyKind, SlotId};
 pub use random::RandomPolicy;
 pub use sieve::Sieve;

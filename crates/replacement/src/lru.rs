@@ -1,6 +1,6 @@
 //! Least-recently-used replacement.
 //!
-//! The policy analyzed by Sleator and Tarjan [47] and used for both the TLB
+//! The policy analyzed by Sleator and Tarjan \[47\] and used for both the TLB
 //! and RAM in the paper's experiments (Section 6). O(1) per operation via an
 //! intrusive recency list: front = most recent, back = victim.
 

@@ -1,7 +1,7 @@
 //! The randomized Marking algorithm.
 //!
 //! The classic O(log k)-competitive randomized paging algorithm (Fiat, Karp,
-//! Luby, McGeoch, Sleator & Young [22] — cited by the paper as part of the
+//! Luby, McGeoch, Sleator & Young \[22\] — cited by the paper as part of the
 //! classical-paging lineage): accesses *mark* items; a miss evicts a
 //! uniformly random **unmarked** item; when every resident item is marked, a
 //! new phase begins and all marks are cleared. Against oblivious adversaries

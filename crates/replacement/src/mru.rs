@@ -2,7 +2,7 @@
 //!
 //! Evicts the item touched most recently. Pathological under temporal
 //! locality but optimal for cyclic scans slightly larger than the cache —
-//! we keep it as a comparator (cf. "the worst page-replacement policy" [6]).
+//! we keep it as a comparator (cf. "the worst page-replacement policy" \[6\]).
 
 use crate::list::IndexList;
 use crate::policy::{Policy, PolicyKind, SlotId};

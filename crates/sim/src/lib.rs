@@ -2,7 +2,7 @@
 //!
 //! * [`run`] — drive one memory manager over a trace with the paper's
 //!   warmup-then-measure protocol (Section 6);
-//! * [`sweep`] — fan a family of configurations out over worker threads
+//! * [`sweep()`] — fan a family of configurations out over worker threads
 //!   (used for the huge-page-size sweeps of Figure 1 and the parameter
 //!   sweeps of the theorem-validation experiments);
 //! * [`multicore`] — the Section 1 "trends" extension: per-core TLBs over a

@@ -26,15 +26,6 @@ pub enum ParamError {
         /// Human-readable constraint, e.g. "must be <= V".
         constraint: &'static str,
     },
-    /// A floating-point parameter was outside its legal interval.
-    BadFraction {
-        /// Parameter name.
-        name: &'static str,
-        /// Offending value.
-        value: f64,
-        /// Human-readable constraint, e.g. "must be in (0,1)".
-        constraint: &'static str,
-    },
     /// `hmax` must divide `V` (Section 3 assumes it does).
     NotDivisible {
         /// Dividend name.
@@ -56,11 +47,6 @@ impl fmt::Display for ParamError {
                 value,
                 constraint,
             } => write!(f, "parameter `{name}` = {value} out of range: {constraint}"),
-            ParamError::BadFraction {
-                name,
-                value,
-                constraint,
-            } => write!(f, "parameter `{name}` = {value} invalid: {constraint}"),
             ParamError::NotDivisible { dividend, divisor } => {
                 write!(f, "`{divisor}` must divide `{dividend}`")
             }

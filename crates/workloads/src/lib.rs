@@ -23,7 +23,6 @@
 
 pub mod basic;
 pub mod bimodal;
-pub mod compose;
 pub mod graph500;
 pub mod hpc;
 pub mod tenants;
@@ -32,7 +31,6 @@ pub mod zipf;
 
 pub use basic::{PhasedWorkingSet, Sequential, Strided, UniformRandom, Zipfian};
 pub use bimodal::Bimodal;
-pub use compose::{Mix, Offset, Replay};
 pub use graph500::{Graph500Config, Graph500Trace};
 pub use hpc::{Gups, Stencil2d};
 pub use tenants::TenantMix;
